@@ -8,14 +8,13 @@ from .params import (Branch, ConstantsSet, ExperimentConfig, InitialState,
                      Protocol, SphereParams, SpinWeights, baseline_config,
                      get_constants, load_config, omega_s, separation_time,
                      short_protocol_config, validate)
-from .phase import (PhaseBreakdown, PhasePipeline, delta_phi, delta_phi_final,
-                    naive_estimate, phase_breakdown, phase_curve, radius_sweep)
+from .phase import (PhaseBreakdown, PhasePipeline, naive_estimate,
+                    phase_curve, radius_sweep)
 
 __all__ = [
     "Branch", "ConstantsSet", "ExperimentConfig", "InitialState", "Protocol",
     "SphereParams", "SpinWeights", "baseline_config", "get_constants",
     "load_config", "omega_s", "separation_time", "short_protocol_config",
-    "validate", "PhaseBreakdown", "PhasePipeline", "delta_phi",
-    "delta_phi_final", "naive_estimate", "phase_breakdown", "phase_curve",
-    "radius_sweep", "__version__",
+    "validate", "PhaseBreakdown", "PhasePipeline", "naive_estimate",
+    "phase_curve", "radius_sweep", "__version__",
 ]

@@ -100,17 +100,17 @@ def _phase_results(config: ExperimentConfig) -> dict:
     return out
 
 
-def _run_baseline(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_baseline(config: ExperimentConfig, out: Path) -> dict:
     phase_curve(config).to_csv(out / "phase_curve.csv")
     return _phase_results(config)
 
 
-def _run_contributions(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_contributions(config: ExperimentConfig, out: Path) -> dict:
     phase_curve(config).to_csv(out / "contributions.csv")
     return _phase_results(config)
 
 
-def _run_q0_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_q0_sweep(config: ExperimentConfig, out: Path) -> dict:
     sqrt_q0s = (1e-9, 1e-10, 1e-13)
     results = {}
     for s in sqrt_q0s:
@@ -125,7 +125,7 @@ def _run_q0_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict:
     return {"per_sqrt_Q0": results}
 
 
-def _run_short_protocol(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_short_protocol(config: ExperimentConfig, out: Path) -> dict:
     phase_curve(config).to_csv(out / "phase_curve.csv")
     res = _phase_results(config)
     res["two_term_estimate_rad"] = naive_estimate_two_term(config)
@@ -136,9 +136,9 @@ def _run_short_protocol(config: ExperimentConfig, out: Path, jobs: int) -> dict:
     return res
 
 
-def _run_radius_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_radius_sweep(config: ExperimentConfig, out: Path) -> dict:
     radii = [float(r) for r in np.geomspace(0.5e-6, 2e-6, 9)]
-    points = radius_sweep(config, radii, jobs=jobs)
+    points = radius_sweep(config, radii)
     with open(out / "radius_sweep.csv", "w") as f:
         f.write("radius_m,mass_kg,delta_phi_rad,error\n")
         for p in points:
@@ -154,7 +154,7 @@ def _run_radius_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict:
     }
 
 
-def _run_oracle_compare(config: ExperimentConfig, out: Path, jobs: int) -> dict:
+def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
     cfg = scaled_config()
     spec = scaled_grid_spec()
     pipe = PhasePipeline(cfg)
@@ -195,16 +195,30 @@ _RUNNERS = {
 }
 
 
-def run_scenario(name: str, config: ExperimentConfig, out_dir: str | Path,
-                 jobs: int = 1) -> dict:
-    """Execute one scenario, write its artifacts and summary.json."""
+def _require_finite(node, path: str = "results") -> None:
+    """Raise FloatingPointError at the first non-finite float in a result
+    tree (None marks a failed sweep point and is allowed)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{path}.{key}")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise FloatingPointError(f"non-finite result {path} = {node!r}")
+
+
+def run_scenario(name: str, config: ExperimentConfig,
+                 out_dir: str | Path) -> dict:
+    """Execute one scenario, write its artifacts and summary.json.
+
+    A non-finite result raises FloatingPointError before the summary is
+    written."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = _summary_base(name, config)
     start = time.perf_counter()
-    summary["results"] = _RUNNERS[name](config, out, jobs)
+    summary["results"] = _RUNNERS[name](config, out)
+    _require_finite(summary["results"])
     summary["wall_time_s"] = time.perf_counter() - start
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -305,8 +319,6 @@ def main(argv=None) -> int:
                         help="output directory (default: ./out)")
     parser.add_argument("--constants", choices=("paper", "codata"),
                         default="paper")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for sweep scenarios")
     parser.add_argument("--expectations", metavar="PATH",
                         help="compare the summary against this file")
     args = parser.parse_args(argv)
@@ -327,9 +339,9 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
 
     try:
-        summary = run_scenario(args.scenario, config, args.out, jobs=args.jobs)
+        summary = run_scenario(args.scenario, config, args.out)
     except (GridEscapeError, StepSizeError, PhaseUnwrapError,
-            IntegrationError, FloatingPointError) as exc:
+            IntegrationError, ArithmeticError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import Branch, ExperimentConfig
 from .params import omega_s as omega_s_of
-from .potential import NUCLEON_SCALE, TaylorCoeffs, effective_omega_s
-from .trajectories import gradient_force, lambda_of_t, separation_window
+from .potential import NUCLEON_SCALE, effective_omega_s
+from .trajectories import separation_window
 
 
 class IntegrationError(RuntimeError):
@@ -320,236 +319,3 @@ def spread_curve(config: ExperimentConfig,
         Q_minus=np.array([minus.q(t) for t in t_grid]),
         Q_free=free,
     )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian state and ODE evolution (cross-check path)
-
-@dataclass(frozen=True)
-class GaussianBranch:
-    """Complex Gaussian coefficients of one branch at time t."""
-
-    A: complex  # m^-2
-    B: complex  # m^-1
-    C: complex  # dimensionless
-    t: float
-    branch: Branch
-
-    def moments(self, mass: float, hbar: float) -> tuple[float, float, float]:
-        return moments_from_a(self.A, mass, hbar)
-
-    def mean_z(self) -> float:
-        return self.B.real / self.A.real
-
-    def mean_p(self, hbar: float) -> float:
-        return hbar * (self.B.imag - self.A.imag * self.B.real / self.A.real)
-
-    def norm_functional(self) -> float:
-        """log of the squared norm; constant under unitary evolution."""
-        re_a = self.A.real
-        return (0.5 * math.log(math.pi / re_a)
-                + self.B.real**2 / re_a + 2.0 * self.C.real)
-
-
-def initial_branch(config: ExperimentConfig, branch: Branch) -> GaussianBranch:
-    """Minimum-uncertainty trap ground state: real A = 1/(2 Q0), B = 0,
-    C chosen to normalize."""
-    Q0 = config.initial.Q0
-    A = complex(0.5 / Q0, 0.0)
-    C = complex(-0.25 * math.log(2.0 * math.pi * Q0), 0.0)
-    return GaussianBranch(A=A, B=0.0 + 0.0j, C=C, t=0.0, branch=branch)
-
-
-def _abc_derivatives(A: complex, B: complex, V0: float, V1: float, V2: float,
-                     mass: float, hbar: float) -> tuple[complex, complex, complex]:
-    dA = -1j * ((hbar / mass) * A * A - 2.0 * V2 / hbar)
-    dB = -1j * ((hbar / mass) * A * B + V1 / hbar)
-    dC = -1j * ((hbar / (2.0 * mass)) * (A - B * B) + V0 / hbar)
-    return dA, dB, dC
-
-
-def _pack(*vals: complex) -> np.ndarray:
-    out = np.empty(2 * len(vals))
-    for i, v in enumerate(vals):
-        out[2 * i] = v.real
-        out[2 * i + 1] = v.imag
-    return out
-
-
-def _unpack(y, i: int) -> complex:
-    return complex(y[2 * i], y[2 * i + 1])
-
-
-def _abc_atol(A0: complex, Q0: float, rtol: float) -> np.ndarray:
-    # per-component floors so zero-valued components don't stall the
-    # error control; relative tolerance dominates once values grow
-    sa = abs(A0)
-    sb = sa * math.sqrt(Q0)
-    return rtol * np.array([sa, sa, sb, sb, 1.0, 1.0])
-
-
-def evolve_abc(state: GaussianBranch, coeffs: TaylorCoeffs, dt: float,
-               mass: float, hbar: float, rtol: float = 1e-10) -> GaussianBranch:
-    """One adaptive step of the (A, B, C) system with frozen coefficients.
-
-    The caller is responsible for re-evaluating the Taylor coefficients
-    against the evolving state between steps (self-consistency).  Evolved
-    as 6 real components so Re C (the norm) and Im C (the phase) are
-    error-controlled independently.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-
-    def rhs(t, y):
-        A, B = _unpack(y, 0), _unpack(y, 1)
-        dA, dB, dC = _abc_derivatives(A, B, coeffs.V0, coeffs.V1, coeffs.V2,
-                                      mass, hbar)
-        return _pack(dA, dB, dC)
-
-    y0 = _pack(state.A, state.B, state.C)
-    Q0 = 0.5 / state.A.real
-    sol = solve_ivp(rhs, (state.t, state.t + dt), y0, method="DOP853",
-                    rtol=rtol, atol=_abc_atol(state.A, Q0, rtol))
-    if not sol.success:
-        raise IntegrationError(
-            f"ABC step failed at t={state.t}: {sol.message}; state={y0}")
-    yf = sol.y[:, -1]
-    return GaussianBranch(A=_unpack(yf, 0), B=_unpack(yf, 1), C=_unpack(yf, 2),
-                          t=state.t + dt, branch=state.branch)
-
-
-@dataclass
-class JointEvolution:
-    """Dense ODE solution of both branches over [0, T5]."""
-
-    t: np.ndarray
-    A_plus: np.ndarray
-    B_plus: np.ndarray
-    C_plus: np.ndarray
-    A_minus: np.ndarray
-    B_minus: np.ndarray
-    C_minus: np.ndarray
-
-    def branch_arrays(self, branch: Branch):
-        if branch is Branch.PLUS:
-            return self.A_plus, self.B_plus, self.C_plus
-        return self.A_minus, self.B_minus, self.C_minus
-
-    def mean_z(self, branch: Branch) -> np.ndarray:
-        A, B, _ = self.branch_arrays(branch)
-        return B.real / A.real
-
-    def mean_p(self, branch: Branch, hbar: float) -> np.ndarray:
-        A, B, _ = self.branch_arrays(branch)
-        return hbar * (B.imag - A.imag * B.real / A.real)
-
-    def q(self, branch: Branch) -> np.ndarray:
-        A, _, _ = self.branch_arrays(branch)
-        return 0.5 / A.real
-
-    def norm_functional(self, branch: Branch) -> np.ndarray:
-        A, B, C = self.branch_arrays(branch)
-        return 0.5 * np.log(np.pi / A.real) + B.real**2 / A.real + 2.0 * C.real
-
-
-def _joint_breakpoints(config: ExperimentConfig) -> list[float]:
-    pts = {0.0, *config.protocol.times}
-    window = separation_window(config)
-    if window is not None:
-        pts.update(window)
-    for branch in Branch:
-        for iv in regime_intervals(config, branch):
-            pts.add(iv.t_lo)
-            pts.add(iv.t_hi)
-    return sorted(p for p in pts if 0.0 <= p <= config.protocol.T5)
-
-
-def evolve_joint(config: ExperimentConfig, t_eval: np.ndarray | None = None,
-                 rtol: float = 1e-11) -> JointEvolution:
-    """Self-consistent ODE evolution of both branches.
-
-    The linear and constant Taylor coefficients are rebuilt from the
-    instantaneous state at every derivative evaluation (means, spreads and
-    the inter-branch distance all come from the evolving A, B), while the
-    regime weight per interval is fixed by the precomputed switching times
-    so the right-hand side stays smooth for the adaptive integrator.
-    """
-    m = config.sphere.mass
-    c = config.constants
-    hbar = c.hbar
-    p = config.protocol
-    F = gradient_force(config)
-    b0_half = 0.5 * c.g_factor * c.mu_B * p.B0
-
-    reg = {b: regime_intervals(config, b) for b in Branch}
-
-    def nu_omega_at(branch: Branch, t: float) -> tuple[float, float]:
-        ivs = reg[branch]
-        for iv in ivs:
-            if t < iv.t_hi or iv is ivs[-1]:
-                return iv.nu, iv.omega
-        return ivs[-1].nu, ivs[-1].omega
-
-    def rhs(t, y, lam, nus, omegas):
-        A_p, B_p = _unpack(y, 0), _unpack(y, 1)
-        A_m, B_m = _unpack(y, 3), _unpack(y, 4)
-        d = abs(B_p.real / A_p.real - B_m.real / A_m.real)
-        out = np.empty(12)
-        for k, (A, B, sgn, nu, w) in enumerate(
-                ((A_p, B_p, 1.0, nus[0], omegas[0]),
-                 (A_m, B_m, -1.0, nus[1], omegas[1]))):
-            z_self = B.real / A.real
-            Q = 0.5 / A.real
-            nu2 = nu * nu
-            V2 = 0.5 * m * w * w * nu2
-            V1 = -m * w * w * nu2 * z_self - sgn * lam * F
-            V0 = nu2 * (0.5 * m * w * w * (z_self * z_self + Q)
-                        - 1.2 * c.G * m * m / config.sphere.radius)
-            V0 += sgn * lam * b0_half
-            if nu < 1.0 and c.G != 0.0:
-                V0 -= (1.0 - nu2) * c.G * m * m / d
-            dA, dB, dC = _abc_derivatives(A, B, V0, V1, V2, m, hbar)
-            out[6 * k:6 * k + 6] = _pack(dA, dB, dC)
-        return out
-
-    breaks = _joint_breakpoints(config)
-    if t_eval is None:
-        t_eval = np.linspace(0.0, p.T5, 801)
-    t_eval = np.asarray(t_eval, dtype=float)
-
-    st_p = initial_branch(config, Branch.PLUS)
-    st_m = initial_branch(config, Branch.MINUS)
-    y = np.concatenate([_pack(st_p.A, st_p.B, st_p.C),
-                        _pack(st_m.A, st_m.B, st_m.C)])
-    atol = np.concatenate([_abc_atol(st_p.A, config.initial.Q0, rtol)] * 2)
-
-    ts_out: list[np.ndarray] = []
-    ys_out: list[np.ndarray] = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        lam = float(lambda_of_t(mid, p))
-        nus = (nu_omega_at(Branch.PLUS, mid)[0], nu_omega_at(Branch.MINUS, mid)[0])
-        omegas = (nu_omega_at(Branch.PLUS, mid)[1], nu_omega_at(Branch.MINUS, mid)[1])
-        inside = t_eval[(t_eval >= lo) & (t_eval < hi)]
-        pts = np.unique(np.concatenate([inside, [lo, hi]]))
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", t_eval=pts,
-                        args=(lam, nus, omegas), rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationError(f"joint evolution failed on [{lo}, {hi}]: "
-                                   f"{sol.message}")
-        keep = sol.t < hi if hi < breaks[-1] else np.ones_like(sol.t, bool)
-        ts_out.append(sol.t[keep])
-        ys_out.append(sol.y[:, keep])
-        y = sol.y[:, -1]
-
-    t_all = np.concatenate(ts_out)
-    y_all = np.concatenate(ys_out, axis=1)
-
-    def cplx(i: int) -> np.ndarray:
-        return y_all[2 * i] + 1j * y_all[2 * i + 1]
-
-    return JointEvolution(t=t_all, A_plus=cplx(0), B_plus=cplx(1),
-                          C_plus=cplx(2), A_minus=cplx(3), B_minus=cplx(4),
-                          C_minus=cplx(5))

@@ -242,7 +242,10 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     """
     v: list[Violation] = []
     c = config.constants
-    for name in ("G", "hbar", "mu_B", "g_factor"):
+    # G = 0 is admitted: it is the no-gravity null limit of the model
+    if not (c.G >= 0.0 and math.isfinite(c.G)):
+        v.append(Violation("constants.G", "G must be >= 0", c.G))
+    for name in ("hbar", "mu_B", "g_factor"):
         val = getattr(c, name)
         if not (val > 0.0 and math.isfinite(val)):
             v.append(Violation(f"constants.{name}", "must be strictly positive", val))
@@ -265,7 +268,8 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     p = config.protocol
     T1, T2, T3, T4, T5 = p.times
     if not (0.0 < T1 < T2 <= T3 < T4 < T5):
-        v.append(Violation("protocol", "need 0 < T1 < T2 <= T3 < T4 < T5", p.times))
+        v.append(Violation("protocol", "times must be ordered "
+                           "0 < T1 < T2 <= T3 < T4 < T5", p.times))
     else:
         for name, interval in (("T2-T1", T2 - T1), ("T4-T3", T4 - T3),
                                ("T5-T4", T5 - T4)):

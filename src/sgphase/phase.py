@@ -17,7 +17,6 @@ cross-check of the analytic path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,9 +25,10 @@ from scipy.integrate import solve_ivp
 from .gaussian import (AnalyticBranch, IntegrationError, integral_inv_q,
                        integral_q, regime_intervals)
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
-                     separation_time)
-from .trajectories import (classical_phase, gradient_force, lambda_integral,
-                           mean_state, protocol_segments, separation_window)
+                     require_valid, separation_time)
+from .trajectories import (branch_distance, classical_phase, gradient_force,
+                           lambda_integral, mean_state, protocol_segments,
+                           separation_window)
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,6 @@ class PhaseBreakdown:
         return self.plus if branch is Branch.PLUS else self.minus
 
 
-def _check_computable(config: ExperimentConfig) -> None:
-    """Structural requirements of the closed forms (weaker than validate():
-    the G = 0 and oracle-scaled limits stay admissible)."""
-    p = config.protocol
-    if not (0.0 < p.T1 < p.T2 <= p.T3 < p.T4 < p.T5):
-        raise ValueError(f"protocol times are not ordered: {p.times}")
-    if abs((p.T2 - p.T1) - p.T1) > 1e-9 * p.T5 or \
-       abs((p.T4 - p.T3) - p.T1) > 1e-9 * p.T5 or \
-       abs((p.T5 - p.T4) - p.T1) > 1e-9 * p.T5:
-        raise ValueError("protocol violates the recombination constraint")
-    if config.sphere.mass <= 0 or config.sphere.radius <= 0:
-        raise ValueError("sphere mass and radius must be positive")
-    if config.initial.Q0 <= 0:
-        raise ValueError("initial spread Q0 must be positive")
-    if config.constants.G < 0:
-        raise ValueError("G must be >= 0")
-
-
 def _inv_quadratic_integral(c0: float, c1: float, c2: float,
                             ta: float, tb: float) -> float:
     """int_{ta}^{tb} du / (c0 + c1 u + c2 u^2), no poles inside [ta, tb].
@@ -139,7 +121,7 @@ class PhasePipeline:
     """Closed-form phase evaluation with all regime bookkeeping precomputed."""
 
     def __init__(self, config: ExperimentConfig):
-        _check_computable(config)
+        require_valid(config)
         self.config = config
         self.segments = protocol_segments(config)
         self.window = separation_window(config)
@@ -152,6 +134,21 @@ class PhasePipeline:
         self._hbar = c.hbar
 
     # -- quantum integral pieces -------------------------------------------
+
+    def f_quantum(self, branch: Branch, t: float) -> float:
+        """Instantaneous quantum phase-rate integrand F_Q (J)."""
+        ab = self.branches[branch]
+        iv = ab._interval(t)
+        Q = ab.q(t)
+        m = self._mass
+        c = self.config.constants
+        val = (c.hbar**2 / (4.0 * m * Q)
+               + 0.5 * m * iv.omega**2 * Q * iv.nu**2
+               - 1.2 * c.G * m * m / self.config.sphere.radius * iv.nu**2)
+        if iv.nu < 1.0 and c.G != 0.0:
+            val -= ((1.0 - iv.nu**2) * c.G * m * m
+                    / branch_distance(t, self.config))
+        return val
 
     def _i1(self, branch: Branch, t: float) -> float:
         total = 0.0
@@ -260,64 +257,7 @@ class PhasePipeline:
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
-
-def phase_breakdown(config: ExperimentConfig,
-                    t: float | None = None) -> PhaseBreakdown:
-    return PhasePipeline(config).breakdown(t)
-
-
-def imc(branch: Branch, t: float, config: ExperimentConfig) -> float:
-    """Branch phase Im C(t) assembled from closed forms (rad).
-
-    Mid-protocol this is dominated by the classical action (~1e12 rad at
-    the physical baseline); only differences between branches are small.
-    """
-    return PhasePipeline(config).branch_phase(branch, t).total
-
-
-def delta_phi(t: float, config: ExperimentConfig) -> float:
-    """Spin-relative phase Im C_+(t) - Im C_-(t) (rad)."""
-    return PhasePipeline(config).delta_phi(t)
-
-
-def delta_phi_final(config: ExperimentConfig) -> float:
-    return PhasePipeline(config).delta_phi(None)
-
-
-def f_quantum(branch: Branch, t: float, config: ExperimentConfig) -> float:
-    """Instantaneous quantum phase-rate integrand F_Q (J)."""
-    ab = AnalyticBranch(config, branch)
-    iv = ab._interval(t)
-    Q = ab.q(t)
-    m = config.sphere.mass
-    c = config.constants
-    val = (c.hbar**2 / (4.0 * m * Q)
-           + 0.5 * m * iv.omega**2 * Q * iv.nu**2
-           - 1.2 * c.G * m * m / config.sphere.radius * iv.nu**2)
-    if iv.nu < 1.0 and c.G != 0.0:
-        from .trajectories import branch_distance
-        val -= (1.0 - iv.nu**2) * c.G * m * m / branch_distance(t, config)
-    return val
-
-
-def i1_closed(t: float, nu: float, config: ExperimentConfig) -> float:
-    """Kinetic-spread phase integral (1/2) arctan(hbar tan(nu w t)/(2 m nu
-    Q0 w)), continued through the tangent poles (rad)."""
-    A0 = complex(0.5 / config.initial.Q0, 0.0)
-    w = omega_s(config.sphere, config.constants)
-    return 0.25 * config.constants.hbar / config.sphere.mass * integral_inv_q(
-        A0, nu, w, config.sphere.mass, config.constants.hbar, t)
-
-
-def i2_closed(t: float, nu: float, config: ExperimentConfig) -> float:
-    """Harmonic self-term phase integral (m w^2 nu^2 / 2 hbar) int Q dt (rad)."""
-    A0 = complex(0.5 / config.initial.Q0, 0.0)
-    w = omega_s(config.sphere, config.constants)
-    m = config.sphere.mass
-    return 0.5 * m * w * w * nu * nu / config.constants.hbar * integral_q(
-        A0, nu, w, m, config.constants.hbar, t)
-
+# paper estimates
 
 def naive_estimate(config: ExperimentConfig) -> float:
     """One-term estimate: the constant self-energy alone,
@@ -352,17 +292,6 @@ def i2_difference_estimate(config: ExperimentConfig,
     dbeta = abs(config.weights.beta_plus_sq - config.weights.beta_minus_sq)
     return (w * w * config.constants.hbar * t**3 * dbeta
             / (24.0 * config.sphere.mass * config.initial.Q0))
-
-
-def i2_difference_estimate_trap(config: ExperimentConfig,
-                                t: float | None = None) -> float:
-    """Same estimate written with the trap frequency, |b+^2 - b-^2| *
-    omega_trap omega_s^2 t^3 / 24 (rad)."""
-    if t is None:
-        t = config.protocol.T5 - separation_time(config)
-    w = omega_s(config.sphere, config.constants)
-    dbeta = abs(config.weights.beta_plus_sq - config.weights.beta_minus_sq)
-    return dbeta * config.omega_trap * w * w * t**3 / 24.0
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +363,7 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
                   n_eval: int = 201) -> OdeCrossCheck:
     """Integrate dA/dt and dq/dt = F_Q/hbar per branch with an adaptive
     high-order scheme and reassemble the phase difference."""
-    _check_computable(config)
+    require_valid(config)
     m = config.sphere.mass
     c = config.constants
     hbar = c.hbar
@@ -468,7 +397,6 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
                   - 1.2 * G * m * m / R * nu * nu)
             if nu < 1.0 and G != 0.0:
                 if d is None:
-                    from .trajectories import branch_distance
                     d = branch_distance(t, config)
                 fq -= (1.0 - nu * nu) * G * m * m / d
             out[3 * k + 2] = fq / hbar
@@ -523,8 +451,7 @@ class SweepPoint:
     error: str | None = None
 
 
-def radius_sweep(config: ExperimentConfig, R_list,
-                 jobs: int | None = None) -> list[SweepPoint]:
+def radius_sweep(config: ExperimentConfig, R_list) -> list[SweepPoint]:
     """Run the full closed-form pipeline at each radius with the mass
     scaled at fixed density; per-point failures are recorded, not raised."""
     rho = config.sphere.density
@@ -539,10 +466,6 @@ def radius_sweep(config: ExperimentConfig, R_list,
             return SweepPoint(radius=R, mass=float("nan"), delta_phi=None,
                               error=f"{type(exc).__name__}: {exc}")
 
-    R_list = list(R_list)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, R_list))
     return [run_one(R) for R in R_list]
 
 

@@ -15,42 +15,13 @@ term toward the other packet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .params import Branch, ConstantsSet, SphereParams, SpinWeights, omega_s
+from .params import ConstantsSet, SphereParams, omega_s
 
 # nucleon size threshold for the inhomogeneous-density correction (m) and
 # the corresponding pulsation boost (1e-10/1e-12)^(3/2)
 NUCLEON_SCALE = 1e-12
 NUCLEAR_BOOST = 1000.0
-
-
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """Second-order expansion V0 + V1 z + V2 z^2 of a branch potential.
-
-    V0: J, V1: J/m, V2: J/m^2; expansion_point is the packet mean (m).
-    """
-
-    V0: float
-    V1: float
-    V2: float
-    expansion_point: float
-
-
-@dataclass(frozen=True)
-class BranchContext:
-    """Instantaneous branch state feeding the potential expansion.
-
-    nu is the regime weight: 1 while the packets overlap (d <= 2R),
-    |beta_branch| once separated.
-    """
-
-    branch: Branch
-    nu: float
-    d: float       # inter-branch distance |<z>_+ - <z>_-| (m)
-    mean_z: float  # this branch's mean position (m)
-    Q: float       # this branch's position variance (m^2)
 
 
 def v_eff(d: float, sphere: SphereParams, constants: ConstantsSet) -> float:
@@ -100,16 +71,6 @@ def quadratic_truncation_error(d: float, sphere: SphereParams,
     return (constants.G * m * m / R) * (3.0 / 16.0 * x**3 - 1.0 / 160.0 * x**5)
 
 
-def nu_branch(branch: Branch, d: float, weights: SpinWeights,
-              sphere: SphereParams) -> float:
-    """Regime weight: 1 while d <= 2R (boundary inclusive), |beta| after."""
-    if d < 0.0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    if d <= 2.0 * sphere.radius:
-        return 1.0
-    return weights.beta(branch)
-
-
 def effective_omega_s(Q: float, sphere: SphereParams, constants: ConstantsSet,
                       nuclear_correction: bool) -> float:
     """Self-gravity pulsation, optionally boosted by the nuclear-scale
@@ -127,36 +88,3 @@ def effective_omega_s(Q: float, sphere: SphereParams, constants: ConstantsSet,
     if nuclear_correction and math.sqrt(Q) < NUCLEON_SCALE:
         return NUCLEAR_BOOST * base
     return base
-
-
-def branch_taylor(ctx: BranchContext, other_mean_z: float,
-                  sphere: SphereParams, constants: ConstantsSet,
-                  weights: SpinWeights,
-                  nuclear_correction: bool = False) -> TaylorCoeffs:
-    """Second-order coefficients of the branch self-gravity potential.
-
-    V2 = (m omega_s^2/2) nu^2
-    V1 = -m omega_s^2 nu^2 <z>          (so V1 + 2 V2 <z> = 0 identically:
-                                         no self-force on the packet mean)
-    V0 = nu^2 [(m omega_s^2/2)(<z>^2 + Q) - (6/5) G m^2 / R]
-         - (1 - nu^2) G m^2 / d          (Newton cross term, separated only)
-    """
-    d = abs(ctx.mean_z - other_mean_z)
-    if not math.isclose(d, ctx.d, rel_tol=1e-9, abs_tol=1e-30):
-        raise ValueError(
-            f"inconsistent context: |mean_z - other_mean_z| = {d} but ctx.d = {ctx.d}")
-    nu2 = ctx.nu * ctx.nu
-    m = sphere.mass
-    w = effective_omega_s(ctx.Q, sphere, constants, nuclear_correction)
-    w2 = w * w
-    V2 = 0.5 * m * w2 * nu2
-    V1 = -m * w2 * nu2 * ctx.mean_z
-    V0 = nu2 * (0.5 * m * w2 * (ctx.mean_z**2 + ctx.Q)
-                - 1.2 * constants.G * m * m / sphere.radius)
-    if ctx.nu < 1.0:
-        if d == 0.0:
-            raise ValueError(
-                "separated regime (nu < 1) with zero branch distance: "
-                "the Newton cross term is singular; regime bookkeeping is broken")
-        V0 -= (1.0 - nu2) * constants.G * m * m / d
-    return TaylorCoeffs(V0=V0, V1=V1, V2=V2, expansion_point=ctx.mean_z)

@@ -16,8 +16,7 @@ from sgphase.params import (Branch, ConstantsSet, Protocol, SpinWeights,
                             validate)
 from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
                            i2_difference_estimate, naive_estimate,
-                           naive_estimate_two_term, phase_breakdown,
-                           radius_sweep)
+                           naive_estimate_two_term, radius_sweep)
 from sgphase.potential import (quadratic_truncation_error, quadratic_v_eff,
                                v_eff, v_eff_derivative)
 from sgphase.trajectories import (classical_phase, mean_state,
@@ -32,14 +31,14 @@ def verdict(num: int, text: str, passed: bool) -> None:
 def test_criterion_01_baseline_phase_shift():
     cfg = baseline_config()
     start = time.perf_counter()
-    bd = phase_breakdown(cfg)
+    bd = PhasePipeline(cfg).breakdown()
     naive = naive_estimate(cfg)
     elapsed = time.perf_counter() - start
     ok = (abs(bd.delta_phi - (-15.33)) <= 0.03 * 15.33
           and abs(naive - (-15.59)) <= 0.02 * 15.59
           and elapsed < 1.0)
     cfg2 = baseline_config("codata")
-    ratio2 = phase_breakdown(cfg2).delta_phi / naive_estimate(cfg2)
+    ratio2 = PhasePipeline(cfg2).delta_phi() / naive_estimate(cfg2)
     ok = ok and 0.95 <= abs(bd.delta_phi / naive) <= 1.01
     ok = ok and 0.95 <= abs(ratio2) <= 1.01
     verdict(1, f"delta_phi(T5)={bd.delta_phi:.4f} (target -15.33 +-3%), "
@@ -72,7 +71,7 @@ def test_criterion_05_i2_at_small_spread():
     cfg = baseline_config(sqrt_Q0=1e-13)
     w_trap = cfg.omega_trap
     est = i2_difference_estimate(cfg)
-    full = phase_breakdown(cfg).i2_diff
+    full = PhasePipeline(cfg).breakdown().i2_diff
     ok = (abs(w_trap - 1.82e6) <= 0.01 * 1.82e6
           and abs(est - 0.0704) <= 0.01 * 0.0704
           and abs(full - 0.07035) <= 0.01 * 0.07035)
@@ -133,7 +132,7 @@ def test_criterion_09_analytic_vs_ode():
         ab = AnalyticBranch(cfg, b)
         for t, a_num in zip(res.t, a_ode):
             worst_a = max(worst_a, abs(ab.a(t) - a_num) / abs(a_num))
-    bd = phase_breakdown(cfg)
+    bd = PhasePipeline(cfg).breakdown()
     dq_plus = abs(res.quantum_plus - bd.plus.quantum_integral)
     dq_minus = abs(res.quantum_minus - bd.minus.quantum_integral)
     d_phi = abs(res.delta_phi - bd.delta_phi)

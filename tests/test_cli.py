@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_OK, EXIT_VALIDATION,
-                         build_id, compare, main, run_scenario)
+from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_NUMERICAL, EXIT_OK,
+                         EXIT_VALIDATION, build_id, compare, main,
+                         run_scenario)
 from sgphase.params import ConstantsSet, baseline_config
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "sgphase" / "data" \
@@ -73,6 +74,20 @@ class TestValidationPaths:
     def test_unknown_scenario_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["warp-drive", "--out", str(tmp_path / "o")])
+
+
+class TestNonFiniteResults:
+    # both spreads pass validate (Q0 > 0) but are too narrow for double
+    # precision: the first yields a NaN phase term, the second divides by
+    # an underflowed width
+    @pytest.mark.parametrize("sqrt_q0", ["1e-100", "1e-160"])
+    def test_exit_numerical_without_summary(self, tmp_path, sqrt_q0):
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text(f"initial.sqrtQ0_m = {sqrt_q0}\n")
+        out = tmp_path / "run"
+        assert main(["baseline", "--config", str(cfg_file),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert not (out / "summary.json").exists()
 
 
 class TestExpectations:
@@ -144,8 +159,7 @@ class TestSweepScenarios:
 
     def test_radius_sweep_artifacts(self, tmp_path):
         out = tmp_path / "rs"
-        assert main(["radius-sweep", "--out", str(out), "--jobs", "2"]) \
-            == EXIT_OK
+        assert main(["radius-sweep", "--out", str(out)]) == EXIT_OK
         summary = read_summary(out)
         assert 4.75 <= summary["results"]["log_slope"] <= 5.25
         assert summary["results"]["n_failed"] == 0

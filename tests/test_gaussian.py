@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgphase.gaussian import (AnalyticBranch, evolve_abc,
-                              evolve_joint, initial_branch, integral_inv_q,
-                              integral_q, moments_from_a, propagate_a,
-                              regime_intervals, spread_curve, spread_P,
-                              spread_Q, width_difference,
-                              width_difference_exact)
+from sgphase.gaussian import (AnalyticBranch, integral_inv_q, integral_q,
+                              moments_from_a, propagate_a, regime_intervals,
+                              spread_curve, spread_P, spread_Q,
+                              width_difference, width_difference_exact)
 from sgphase.params import (Branch, ConstantsSet, SpinWeights,
                             baseline_config, omega_s, separation_time)
-from sgphase.potential import NUCLEAR_BOOST, TaylorCoeffs
-from sgphase.trajectories import mean_state
+from sgphase.potential import NUCLEAR_BOOST
 
 nu_strategy = st.floats(min_value=0.05, max_value=1.0)
 t_strategy = st.floats(min_value=0.0, max_value=2.0)
@@ -274,92 +271,6 @@ class TestRegimeIntervals:
         ivs_on = regime_intervals(cfg, Branch.PLUS)
         ivs_off = regime_intervals(baseline, Branch.PLUS)
         assert [iv.omega for iv in ivs_on] == [iv.omega for iv in ivs_off]
-
-
-class TestEvolveABC:
-    def test_free_packet_law(self, baseline):
-        state = initial_branch(baseline, Branch.PLUS)
-        coeffs = TaylorCoeffs(V0=0.0, V1=0.0, V2=0.0, expansion_point=0.0)
-        m = baseline.sphere.mass
-        hbar = baseline.constants.hbar
-        out = evolve_abc(state, coeffs, 0.5, m, hbar, rtol=1e-12)
-        A0 = state.A
-        expected = A0 / (1.0 + 1j * hbar * A0 * 0.5 / m)
-        assert cmath.isclose(out.A, expected, rel_tol=1e-10)
-        Q0 = baseline.initial.Q0
-        q_free = Q0 * (1.0 + (hbar * 0.5 / (2 * m * Q0)) ** 2)
-        assert out.moments(m, hbar)[0] == pytest.approx(q_free, rel=1e-10)
-
-    def test_harmonic_matches_analytic(self, baseline):
-        cfg = scaled_g(baseline, 1e12)
-        m = cfg.sphere.mass
-        hbar = cfg.constants.hbar
-        w = omega_s(cfg.sphere, cfg.constants)
-        nu = cfg.weights.beta(Branch.PLUS)
-        state = initial_branch(cfg, Branch.PLUS)
-        coeffs = TaylorCoeffs(V0=0.0, V1=0.0, V2=0.5 * m * w * w * nu * nu,
-                              expansion_point=0.0)
-        out = evolve_abc(state, coeffs, 2.0, m, hbar, rtol=1e-12)
-        expected = propagate_a(state.A, nu, w, m, hbar, 2.0)
-        assert cmath.isclose(out.A, expected, rel_tol=1e-8)
-
-    def test_rejects_nonpositive_dt(self, baseline):
-        state = initial_branch(baseline, Branch.PLUS)
-        coeffs = TaylorCoeffs(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            evolve_abc(state, coeffs, 0.0, 1.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def joint(baseline):
-    return evolve_joint(baseline, rtol=1e-11,
-                        t_eval=np.linspace(0.0, 2.0, 101))
-
-
-class TestJointEvolution:
-    def test_ehrenfest_means(self, baseline, joint):
-        hbar = baseline.constants.hbar
-        z_scale = 1.054e-4
-        p_scale = 2.32e-18
-        for b in Branch:
-            z_ode = joint.mean_z(b)
-            p_ode = joint.mean_p(b, hbar)
-            z_ref = np.array([mean_state(b, t, baseline).mean_z
-                              for t in joint.t])
-            p_ref = np.array([mean_state(b, t, baseline).mean_p
-                              for t in joint.t])
-            assert np.max(np.abs(z_ode - z_ref)) < 1e-8 * z_scale
-            assert np.max(np.abs(p_ode - p_ref)) < 1e-8 * p_scale
-
-    def test_width_matches_analytic(self, baseline, joint):
-        ab = AnalyticBranch(baseline, Branch.PLUS)
-        q_ref = np.array([ab.q(t) for t in joint.t])
-        assert np.max(np.abs(joint.q(Branch.PLUS) / q_ref - 1.0)) < 1e-8
-
-    def test_norm_functional_conserved(self, baseline, joint):
-        # at the physical baseline the functional is a cancellation of
-        # ~5e9-sized terms, so conservation is asserted relative to that
-        # scale (i.e. at the double-precision floor)
-        scale = float(np.max(np.abs(joint.B_plus.real**2
-                                    / joint.A_plus.real)))
-        for b in Branch:
-            n = joint.norm_functional(b)
-            assert np.max(np.abs(n - n[0])) < 1e-14 * scale
-
-    def test_norm_functional_conserved_scaled_units(self):
-        # well-conditioned variant: all terms O(10), absolute 1e-8 holds
-        from sgphase.oracle import scaled_config
-        js = evolve_joint(scaled_config(), rtol=1e-11,
-                          t_eval=np.linspace(0.0, 2.0, 41))
-        for b in Branch:
-            n = js.norm_functional(b)
-            assert np.max(np.abs(n - n[0])) < 1e-8
-
-    def test_initial_norm_is_unity(self, baseline):
-        st0 = initial_branch(baseline, Branch.PLUS)
-        assert st0.norm_functional() == pytest.approx(0.0, abs=1e-14)
-        assert st0.mean_z() == 0.0
-        assert st0.mean_p(baseline.constants.hbar) == 0.0
 
 
 class TestSpreadCurve:

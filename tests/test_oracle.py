@@ -1,9 +1,12 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgphase.oracle
 from sgphase.gaussian import AnalyticBranch, spread_Q
 from sgphase.oracle import (GridEscapeError, GridSpec, PhaseUnwrapError,
                             StepSizeError, center_phase, evolve_grid,
@@ -303,3 +306,21 @@ class TestStateHistory:
         assert lines[0] == ("z_m,re_psi_plus,im_psi_plus,"
                             "re_psi_minus,im_psi_minus")
         assert len(lines) == spec_small.n + 1
+
+
+class TestIndependence:
+    def test_no_closed_form_imports(self):
+        # the grid solver is an oracle only while it shares no code with
+        # the Gaussian closed forms it checks
+        tree = ast.parse(Path(sgphase.oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                imported.add(mod if node.level == 0 else f"sgphase.{mod}")
+                if node.level == 1 and not mod:
+                    imported.update(f"sgphase.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert "sgphase.params" in imported  # the walk sees the imports
+        assert not imported & {"sgphase.gaussian", "sgphase.phase"}

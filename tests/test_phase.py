@@ -1,17 +1,20 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sgphase.params import (Branch, ConstantsSet, SpinWeights,
-                            baseline_config, omega_s, separation_time)
-from sgphase.phase import (PhasePipeline, delta_phi, delta_phi_final,
-                           delta_phi_ode, f_quantum, fit_log_slope, i1_closed,
-                           i2_closed, i2_difference_estimate,
-                           i2_difference_estimate_trap, imc, naive_estimate,
-                           naive_estimate_two_term, phase_breakdown,
-                           phase_curve, radius_sweep)
+from sgphase.gaussian import integral_inv_q, integral_q
+from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
+                            SphereParams, SpinWeights, baseline_config,
+                            omega_s, separation_time, short_protocol_config,
+                            validate)
+from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
+                           i2_difference_estimate, naive_estimate,
+                           naive_estimate_two_term, phase_curve, radius_sweep)
 from sgphase.trajectories import plateau_distance, separation_window
 
 
@@ -19,6 +22,56 @@ def without_gravity(config):
     c = config.constants
     return replace(config, constants=ConstantsSet(
         name="g-zero", G=0.0, hbar=c.hbar, mu_B=c.mu_B, g_factor=c.g_factor))
+
+
+def _random_config(radius, beta_plus_sq, k1, log_grad, log_sqrt_q0):
+    """Valid config at the reference density with a dyadic T1 = k1 2^-12 s
+    (so the recombination constraint holds exactly) and hold 4 T1."""
+    base = baseline_config()
+    T1 = k1 * 2.0**-12
+    mass = base.sphere.density * 4.0 / 3.0 * math.pi * radius**3
+    return replace(
+        base, sphere=SphereParams(mass=mass, radius=radius),
+        weights=SpinWeights.from_plus(beta_plus_sq),
+        protocol=Protocol.from_t1(T1, hold=4.0 * T1, B0_grad=10.0**log_grad),
+        initial=InitialState.from_sqrt(10.0**log_sqrt_q0))
+
+
+config_strategy = st.builds(
+    _random_config,
+    st.floats(min_value=0.5e-6, max_value=2e-6),
+    st.floats(min_value=0.1, max_value=0.45),
+    st.integers(min_value=102, max_value=1024),   # T1 0.025-0.25 s
+    st.floats(min_value=5.5, max_value=6.5),
+    st.floats(min_value=-12.0, max_value=-9.0),
+)
+
+
+# the short protocol at 0.9 B0': plateau distance ~0.95 (2R), no separation
+SUB_TANGENT = replace(short_protocol_config(), protocol=replace(
+    short_protocol_config().protocol, B0_grad=9e5))
+
+
+def _kernel_args(t, nu, config):
+    """Arguments of the segment kernels for one constant-nu interval [0, t]
+    starting from the trap ground state."""
+    A0 = complex(0.5 / config.initial.Q0, 0.0)
+    w = omega_s(config.sphere, config.constants)
+    return A0, nu, w, config.sphere.mass, config.constants.hbar, t
+
+
+def i1_single(t, nu, config):
+    """Kinetic-spread phase integral (hbar/4m) int_0^t dt/Q (rad)."""
+    return 0.25 * config.constants.hbar / config.sphere.mass * integral_inv_q(
+        *_kernel_args(t, nu, config))
+
+
+def i2_single(t, nu, config):
+    """Harmonic self-term phase integral (m w^2 nu^2 / 2 hbar) int Q dt."""
+    m = config.sphere.mass
+    w = omega_s(config.sphere, config.constants)
+    return 0.5 * m * w * w * nu * nu / config.constants.hbar * integral_q(
+        *_kernel_args(t, nu, config))
 
 
 class TestFQuantum:
@@ -29,19 +82,18 @@ class TestFQuantum:
         w = omega_s(baseline.sphere, c)
         expected = (c.hbar**2 / (4 * m * Q0) + 0.5 * m * w * w * Q0
                     - 1.2 * c.G * m * m / baseline.sphere.radius)
-        assert f_quantum(Branch.PLUS, 0.0, baseline) == pytest.approx(
-            expected, rel=1e-12)
+        assert PhasePipeline(baseline).f_quantum(
+            Branch.PLUS, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_plateau_newton_term(self, baseline):
         t = 1.0
         d = plateau_distance(baseline)
         c = baseline.constants
         m = baseline.sphere.mass
-        with_n = f_quantum(Branch.PLUS, t, baseline)
+        pipe = PhasePipeline(baseline)
+        with_n = pipe.f_quantum(Branch.PLUS, t)
         # rebuild without the cross term from the other pieces
-        from sgphase.gaussian import AnalyticBranch
-        ab = AnalyticBranch(baseline, Branch.PLUS)
-        Q = ab.q(t)
+        Q = pipe.branches[Branch.PLUS].q(t)
         nu2 = baseline.weights.beta_plus_sq
         w = omega_s(baseline.sphere, c)
         no_cross = (c.hbar**2 / (4 * m * Q) + 0.5 * m * w * w * Q * nu2
@@ -50,15 +102,15 @@ class TestFQuantum:
             -(2.0 / 3.0) * c.G * m * m / d, rel=1e-10)
 
     def test_symmetric_weights_equal(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.5, 0.5))
+        pipe = PhasePipeline(replace(baseline, weights=SpinWeights(0.5, 0.5)))
         for t in (0.0, 0.2, 1.0, 1.9):
-            assert f_quantum(Branch.PLUS, t, cfg) == f_quantum(
-                Branch.MINUS, t, cfg)
+            assert pipe.f_quantum(Branch.PLUS, t) == pipe.f_quantum(
+                Branch.MINUS, t)
 
 
 class TestI1:
     def test_zero_at_start(self, baseline):
-        assert i1_closed(0.0, 1.0, baseline) == 0.0
+        assert i1_single(0.0, 1.0, baseline) == 0.0
 
     def test_small_time_limit(self, baseline):
         # hbar t / (4 m Q0) up to O((hbar t / 2 m Q0)^2) arctan corrections
@@ -67,15 +119,15 @@ class TestI1:
         x = c.hbar * t / (2 * baseline.sphere.mass * baseline.initial.Q0)
         expected = c.hbar * t / (4 * baseline.sphere.mass
                                  * baseline.initial.Q0)
-        assert i1_closed(t, 1.0, baseline) == pytest.approx(expected,
+        assert i1_single(t, 1.0, baseline) == pytest.approx(expected,
                                                             rel=x * x)
 
     def test_branch_difference_negligible(self, baseline):
         t = baseline.protocol.T5
         nu_p = baseline.weights.beta(Branch.PLUS)
         nu_m = baseline.weights.beta(Branch.MINUS)
-        assert abs(i1_closed(t, nu_p, baseline)
-                   - i1_closed(t, nu_m, baseline)) < 1e-8
+        assert abs(i1_single(t, nu_p, baseline)
+                   - i1_single(t, nu_m, baseline)) < 1e-8
 
 
 class TestI2:
@@ -88,14 +140,14 @@ class TestI2:
         t = 1.7
         val, _ = quad(lambda s: 0.5 * m * w * w * nu * nu
                       * spread_Q(s, nu, baseline) / c.hbar, 0.0, t)
-        assert i2_closed(t, nu, baseline) == pytest.approx(val, rel=1e-10)
+        assert i2_single(t, nu, baseline) == pytest.approx(val, rel=1e-10)
 
     def test_small_spread_difference_matches_paper_estimate(self):
         cfg = baseline_config(sqrt_Q0=1e-13)
         t = cfg.protocol.T5 - separation_time(cfg)
         nu_p = cfg.weights.beta(Branch.PLUS)
         nu_m = cfg.weights.beta(Branch.MINUS)
-        diff = i2_closed(t, nu_m, cfg) - i2_closed(t, nu_p, cfg)
+        diff = i2_single(t, nu_m, cfg) - i2_single(t, nu_p, cfg)
         assert diff == pytest.approx(i2_difference_estimate(cfg), rel=1e-3)
 
     def test_estimate_reference_values(self):
@@ -104,34 +156,37 @@ class TestI2:
         assert cfg.omega_trap == pytest.approx(1.82e6, rel=0.01)
 
     def test_trap_form_identity(self):
+        # the estimate written with the trap frequency omega_trap = hbar/(m Q0)
         cfg = baseline_config(sqrt_Q0=2.4e-12)
-        assert i2_difference_estimate_trap(cfg) == pytest.approx(
-            i2_difference_estimate(cfg), rel=1e-12)
+        t = cfg.protocol.T5 - separation_time(cfg)
+        w = omega_s(cfg.sphere, cfg.constants)
+        dbeta = abs(cfg.weights.beta_plus_sq - cfg.weights.beta_minus_sq)
+        trap_form = dbeta * cfg.omega_trap * w * w * t**3 / 24.0
+        assert trap_form == pytest.approx(i2_difference_estimate(cfg),
+                                          rel=1e-12)
 
 
 class TestImC:
     def test_boundary_terms_vanish_at_recombination(self, baseline):
-        bd = phase_breakdown(baseline)
+        bd = PhasePipeline(baseline).breakdown()
         for bp in (bd.plus, bd.minus):
             assert abs(bp.boundary_zp) < 1e-12
             assert abs(bp.boundary_width) < 1e-12
         assert abs(bd.boundary_diff) < 1e-12
 
     def test_no_gravity_no_branch_difference(self, baseline):
-        cfg = without_gravity(baseline)
+        pipe = PhasePipeline(without_gravity(baseline))
         for t in (0.3, 1.0, 1.7, 2.0):
-            assert delta_phi(t, cfg) == 0.0
+            assert pipe.delta_phi(t) == 0.0
 
     def test_branch_total_assembles_terms(self, baseline):
-        bd = phase_breakdown(baseline)
-        bp = bd.plus
+        bp = PhasePipeline(baseline).breakdown().plus
         assert bp.total == pytest.approx(
             bp.boundary_zp + bp.boundary_width + bp.classical
             - (bp.i1 + bp.i2 + bp.const_self + bp.newton_cross), rel=1e-15)
-        assert imc(Branch.PLUS, baseline.protocol.T5, baseline) == bp.total
 
     def test_delta_phi_is_sum_of_diffs(self, baseline):
-        bd = phase_breakdown(baseline, 1.3)
+        bd = PhasePipeline(baseline).breakdown(1.3)
         total = (bd.boundary_diff + bd.classical_diff + bd.i1_diff
                  + bd.i2_diff + bd.const_self_diff + bd.newton_diff)
         assert bd.delta_phi == pytest.approx(total, rel=1e-15)
@@ -139,7 +194,7 @@ class TestImC:
 
 class TestDeltaPhi:
     def test_baseline_final_value(self, baseline):
-        value = delta_phi_final(baseline)
+        value = PhasePipeline(baseline).delta_phi()
         assert value == pytest.approx(-15.33, rel=0.03)
 
     def test_quadrature_oracle_for_quantum_difference(self, baseline):
@@ -148,44 +203,70 @@ class TestDeltaPhi:
         c = baseline.constants
         t_in, t_out = separation_window(baseline)
         pts = sorted(set(list(baseline.protocol.times[:4]) + [t_in, t_out]))
+        pipe = PhasePipeline(baseline)
 
         def integrand(t):
-            return (f_quantum(Branch.PLUS, t, baseline)
-                    - f_quantum(Branch.MINUS, t, baseline)) / c.hbar
+            return (pipe.f_quantum(Branch.PLUS, t)
+                    - pipe.f_quantum(Branch.MINUS, t)) / c.hbar
 
         val = 0.0
         bounds = [0.0] + pts + [baseline.protocol.T5]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             piece, _ = quad(integrand, lo, hi, limit=200)
             val += piece
-        assert -val == pytest.approx(delta_phi_final(baseline), rel=1e-8)
+        assert -val == pytest.approx(pipe.delta_phi(), rel=1e-8)
 
-    def test_symmetric_weights_null(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.5, 0.5))
-        assert delta_phi_final(cfg) == 0.0
+    @given(config_strategy)
+    @example(baseline_config())
+    def test_symmetric_weights_null(self, config):
+        cfg = replace(config, weights=SpinWeights(0.5, 0.5))
+        assert PhasePipeline(cfg).delta_phi() == 0.0
 
     def test_uniform_field_invariance(self, baseline):
         with_b0 = replace(baseline,
                           protocol=replace(baseline.protocol, B0=0.1))
-        assert abs(delta_phi_final(with_b0)
-                   - delta_phi_final(baseline)) < 1e-10
+        assert abs(PhasePipeline(with_b0).delta_phi()
+                   - PhasePipeline(baseline).delta_phi()) < 1e-10
 
-    def test_weight_swap_antisymmetry(self, baseline):
-        swapped = replace(baseline, weights=baseline.weights.swapped())
-        assert delta_phi_final(swapped) == -delta_phi_final(baseline)
+    @given(config_strategy)
+    @example(baseline_config())
+    @example(SUB_TANGENT)
+    def test_weight_swap_antisymmetry(self, config):
+        swapped = replace(config, weights=config.weights.swapped())
+        dp = PhasePipeline(config).delta_phi()
+        assert PhasePipeline(swapped).delta_phi() == -dp
+        # packets that never clear contact d = 2R keep nu = 1 throughout
+        if plateau_distance(config) <= 2.0 * config.sphere.radius:
+            assert dp == 0.0
+
+    def test_tangency_jump_pinned(self, short_protocol):
+        # the short protocol's plateau distance reaches 2R at this gradient;
+        # the hard switch of nu at d = 2R makes delta_phi jump from 0 there
+        tangent = 1e6 / 1.05386
+
+        def at(scale):
+            return replace(short_protocol, protocol=replace(
+                short_protocol.protocol, B0_grad=scale * tangent))
+
+        below, above = at(1.0 - 1e-5), at(1.0 + 1e-5)
+        contact = 2.0 * short_protocol.sphere.radius
+        assert plateau_distance(below) < contact < plateau_distance(above)
+        assert PhasePipeline(below).delta_phi() == 0.0
+        assert PhasePipeline(above).delta_phi() == pytest.approx(-0.4721,
+                                                                 rel=0.01)
 
     def test_nuclear_toggle_negligible_at_narrow_spread(self):
         off = baseline_config(sqrt_Q0=1e-13)
         on = baseline_config(sqrt_Q0=1e-13, nuclear_correction=True)
-        a = delta_phi_final(off)
-        b = delta_phi_final(on)
+        a = PhasePipeline(off).delta_phi()
+        b = PhasePipeline(on).delta_phi()
         assert b == pytest.approx(a, rel=1e-6)
 
     def test_curve_starts_at_zero_and_lands_on_final(self, baseline):
         curve = phase_curve(baseline, n_samples=51)
         assert curve.delta_phi[0] == 0.0
-        assert curve.delta_phi[-1] == pytest.approx(delta_phi_final(baseline),
-                                                    rel=1e-12)
+        assert curve.delta_phi[-1] == pytest.approx(
+            PhasePipeline(baseline).delta_phi(), rel=1e-12)
         assert curve.const_self_diff[-1] == pytest.approx(-15.5948, rel=1e-3)
         # constant self-energy contribution decreases monotonically
         assert np.all(np.diff(curve.const_self_diff) <= 1e-15)
@@ -202,7 +283,7 @@ class TestDeltaPhi:
 class TestOdeCrossCheck:
     def test_matches_closed_form(self, baseline):
         res = delta_phi_ode(baseline, rtol=1e-12, n_eval=41)
-        bd = phase_breakdown(baseline)
+        bd = PhasePipeline(baseline).breakdown()
         assert abs(res.delta_phi - bd.delta_phi) < 1e-5
         assert abs(res.quantum_plus - bd.plus.quantum_integral) < 1e-5
         assert abs(res.quantum_minus - bd.minus.quantum_integral) < 1e-5
@@ -225,7 +306,7 @@ class TestEstimates:
         assert naive_estimate(cfg) == 0.0
 
     def test_dominant_term(self, baseline):
-        dp = delta_phi_final(baseline)
+        dp = PhasePipeline(baseline).delta_phi()
         assert abs(dp - naive_estimate(baseline)) / abs(dp) <= 0.05
 
     def test_short_protocol_two_term(self, short_protocol):
@@ -237,7 +318,7 @@ class TestRadiusSweep:
     def test_reference_point_consistency(self, baseline):
         points = radius_sweep(baseline, [baseline.sphere.radius])
         assert points[0].delta_phi == pytest.approx(
-            delta_phi_final(baseline), rel=1e-12)
+            PhasePipeline(baseline).delta_phi(), rel=1e-12)
         assert points[0].mass == pytest.approx(baseline.sphere.mass, rel=1e-12)
 
     def test_fixed_density_slope(self, baseline):
@@ -263,12 +344,6 @@ class TestRadiusSweep:
         assert points[1].delta_phi is None
         assert points[2].error is None
 
-    def test_jobs_do_not_change_results(self, baseline):
-        radii = list(np.geomspace(0.5e-6, 2e-6, 5))
-        serial = radius_sweep(baseline, radii)
-        parallel = radius_sweep(baseline, radii, jobs=3)
-        assert [p.delta_phi for p in serial] == [p.delta_phi for p in parallel]
-
     def test_fit_needs_two_points(self, baseline):
         with pytest.raises(ValueError):
             fit_log_slope(radius_sweep(baseline, [1e-6]))
@@ -287,3 +362,15 @@ class TestComputabilityGuard:
             g_factor=c.g_factor))
         with pytest.raises(ValueError, match="G must be"):
             PhasePipeline(bad)
+
+    def test_same_policy_as_validate(self, baseline):
+        p = baseline.protocol
+        off = replace(baseline, protocol=replace(p, T5=p.T5 + 1e-10))
+        assert not validate(off).ok
+        with pytest.raises(ValueError, match="recombination"):
+            PhasePipeline(off)
+        with pytest.raises(ValueError, match="recombination"):
+            delta_phi_ode(off)
+        g_zero = without_gravity(baseline)
+        assert validate(g_zero).ok
+        assert PhasePipeline(g_zero).delta_phi() == 0.0

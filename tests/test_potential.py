@@ -1,20 +1,15 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgphase.params import Branch, SphereParams, SpinWeights, get_constants
-from sgphase.potential import (BranchContext, NUCLEAR_BOOST, branch_taylor,
-                               effective_omega_s, nu_branch,
+from sgphase.params import SphereParams, get_constants
+from sgphase.potential import (NUCLEAR_BOOST, effective_omega_s,
                                quadratic_truncation_error, quadratic_v_eff,
                                v_eff, v_eff_derivative)
 from sgphase.params import omega_s
-from sgphase.trajectories import plateau_distance
 
 PAPER = get_constants("paper")
 SPHERE = SphereParams(mass=5.5e-15, radius=1e-6)
-WEIGHTS = SpinWeights.from_plus(1.0 / 3.0)
 SCALE = PAPER.G * SPHERE.mass**2 / SPHERE.radius  # G m^2 / R
 
 
@@ -94,18 +89,6 @@ class TestQuadraticForm:
             quadratic_truncation_error(3.0 * SPHERE.radius, SPHERE, PAPER)
 
 
-class TestNuBranch:
-    def test_overlap(self):
-        assert nu_branch(Branch.PLUS, 0.0, WEIGHTS, SPHERE) == 1.0
-
-    def test_separated_plus(self):
-        nu = nu_branch(Branch.PLUS, 3.0 * SPHERE.radius, WEIGHTS, SPHERE)
-        assert nu == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
-
-    def test_boundary_inclusive(self):
-        assert nu_branch(Branch.MINUS, 2.0 * SPHERE.radius, WEIGHTS, SPHERE) == 1.0
-
-
 class TestEffectiveOmegaS:
     def test_wide_packet_unboosted(self):
         w = effective_omega_s((1e-9) ** 2, SPHERE, PAPER, True)
@@ -119,51 +102,3 @@ class TestEffectiveOmegaS:
         w = effective_omega_s((1e-13) ** 2, SPHERE, PAPER, True)
         assert w == NUCLEAR_BOOST * omega_s(SPHERE, PAPER)
         assert 0.1 <= w <= 10.0  # of the order of 1 rad/s
-
-
-class TestBranchTaylor:
-    def _ctx(self, mean_z, d, nu, Q=1e-18):
-        return BranchContext(branch=Branch.PLUS, nu=nu, d=d, mean_z=mean_z, Q=Q)
-
-    @given(st.floats(min_value=-1e-7, max_value=1e-7),
-           st.floats(min_value=1e-20, max_value=1e-16))
-    def test_no_self_force(self, mean_z, Q):
-        ctx = self._ctx(mean_z, d=2.0 * abs(mean_z), nu=1.0, Q=Q)
-        coeffs = branch_taylor(ctx, -mean_z, SPHERE, PAPER, WEIGHTS)
-        assert coeffs.V1 + 2.0 * coeffs.V2 * ctx.mean_z == pytest.approx(
-            0.0, abs=1e-25 * max(abs(coeffs.V1), coeffs.V2 * 1e-7, 1e-300))
-
-    def test_symmetric_point(self):
-        Q0 = 1e-18
-        ctx = self._ctx(0.0, d=0.0, nu=1.0, Q=Q0)
-        coeffs = branch_taylor(ctx, 0.0, SPHERE, PAPER, WEIGHTS)
-        w = omega_s(SPHERE, PAPER)
-        m = SPHERE.mass
-        assert coeffs.V1 == 0.0
-        assert coeffs.V0 == pytest.approx(0.5 * m * w * w * Q0 - 1.2 * SCALE,
-                                          rel=1e-14)
-
-    def test_separated_newton_term(self, baseline):
-        d = plateau_distance(baseline)
-        assert d == pytest.approx(2.1e-4, rel=5e-3)
-        nu = WEIGHTS.beta(Branch.PLUS)
-        ctx = self._ctx(0.5 * d, d=d, nu=nu)
-        coeffs = branch_taylor(ctx, -0.5 * d, SPHERE, PAPER, WEIGHTS)
-        nu2 = nu * nu
-        w = omega_s(SPHERE, PAPER)
-        m = SPHERE.mass
-        self_part = nu2 * (0.5 * m * w * w * (ctx.mean_z**2 + ctx.Q)
-                           - 1.2 * SCALE)
-        newton = coeffs.V0 - self_part
-        assert newton == pytest.approx(-(2.0 / 3.0) * PAPER.G * m * m / d,
-                                       rel=1e-12)
-
-    def test_inconsistent_context_rejected(self):
-        ctx = self._ctx(1e-6, d=5e-6, nu=1.0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            branch_taylor(ctx, -1e-6, SPHERE, PAPER, WEIGHTS)
-
-    def test_singular_newton_rejected(self):
-        ctx = self._ctx(0.0, d=0.0, nu=WEIGHTS.beta(Branch.PLUS))
-        with pytest.raises(ValueError, match="singular"):
-            branch_taylor(ctx, 0.0, SPHERE, PAPER, WEIGHTS)
