@@ -1,11 +1,16 @@
 """Independent grid solver for the nonlinear branch equations.
 
-Second-order operator splitting on a uniform 1D grid: kinetic propagation
-in spectral space, potential propagation in position space, with the
-branch self-potential rebuilt every step from the instantaneous moments
-of the grid state (means, spreads, inter-branch distance).  Nothing here
-reuses the Gaussian closed forms, so agreement on spreads and on the
-final phase difference validates the analytic pipeline end to end.
+Strang-split split-operator scheme on a uniform 1D grid (Feit, Fleck &
+Steiger, J. Comput. Phys. 47, 412, 1982; Strang, SIAM J. Numer. Anal. 5,
+506, 1968): kinetic propagation in spectral space, potential propagation
+in position space, with the branch self-potential rebuilt every step from
+the instantaneous moments of the grid state (means, spreads, inter-branch
+distance).  Both branches are held in one (2, N) array, so a step costs
+one forward and one inverse FFT; the closing kinetic half-kick of a step
+and the opening half-kick of the next are merged into one full kick.
+Nothing here reuses the Gaussian closed forms, so agreement on spreads
+and on the final phase difference validates the analytic pipeline end to
+end.
 
 The physical baseline is not grid-tractable (packet separation ~2e-4 m
 against a 1e-9 m width), so cross-checks run at a scaled configuration in
@@ -127,18 +132,24 @@ def extract_phase(states: list[GridState], branch: Branch) -> np.ndarray:
     return np.array([center_phase(s, branch) for s in states])
 
 
-def extract_phase_difference(states: list[GridState]) -> np.ndarray:
-    """Unwrapped phase difference plus-minus along a state history,
-    referenced to zero at the first state."""
-    raw = extract_phase(states, Branch.PLUS) - extract_phase(states,
-                                                             Branch.MINUS)
-    diff = np.unwrap(raw)
+def _unwrap_difference(raw) -> np.ndarray:
+    """Unwrap a history of wrapped phase differences, referenced to zero
+    at its first value; a jump beyond pi/2 between neighbours is
+    ambiguous and raises PhaseUnwrapError."""
+    diff = np.unwrap(np.asarray(raw))
     steps = np.abs(np.diff(diff))
     if steps.size and float(steps.max()) > 0.5 * math.pi:
         raise PhaseUnwrapError(
             f"phase difference jumped by {steps.max():.3f} rad between "
-            f"history states; record the history more densely")
+            f"recorded states; record the history more densely")
     return diff - diff[0]
+
+
+def extract_phase_difference(states: list[GridState]) -> np.ndarray:
+    """Unwrapped phase difference plus-minus along a state history,
+    referenced to zero at the first state."""
+    return _unwrap_difference(extract_phase(states, Branch.PLUS)
+                              - extract_phase(states, Branch.MINUS))
 
 
 def dump_state_csv(state: GridState, path) -> None:
@@ -151,18 +162,26 @@ def dump_state_csv(state: GridState, path) -> None:
             f.write(",".join(format(x, ".17e") for x in row) + "\n")
 
 
+def _convolution_kernel(z: np.ndarray, sphere: SphereParams,
+                        constants: ConstantsSet) -> np.ndarray:
+    """v_eff sampled on the grid displacements (-(n-1)..(n-1)) dz."""
+    n = z.size
+    offsets = float(z[1] - z[0]) * np.arange(-(n - 1), n)
+    return np.array([v_eff(abs(d), sphere, constants) for d in offsets])
+
+
+def _convolve(z: np.ndarray, density: np.ndarray,
+              kernel: np.ndarray) -> np.ndarray:
+    return np.convolve(density * float(z[1] - z[0]), kernel, mode="valid")
+
+
 def self_potential_convolution(z: np.ndarray, density: np.ndarray,
                                sphere: SphereParams,
                                constants: ConstantsSet) -> np.ndarray:
-    """Full self-potential int rho(z') v_eff(|z - z'|) dz' by linear
-    (zero-padded) FFT convolution.  `density` must integrate to 1."""
-    n = z.size
-    dz = float(z[1] - z[0])
-    # kernel sampled on displacements (-(n-1)..(n-1)) dz
-    offsets = dz * np.arange(-(n - 1), n)
-    kernel = np.array([v_eff(abs(d), sphere, constants) for d in offsets])
-    conv = np.convolve(density * dz, kernel, mode="valid")
-    return conv
+    """Full self-potential int rho(z') v_eff(|z - z'|) dz' by direct
+    linear convolution on the grid (np.convolve, O(n^2)).  `density` must
+    integrate to 1."""
+    return _convolve(z, density, _convolution_kernel(z, sphere, constants))
 
 
 @dataclass
@@ -203,6 +222,16 @@ def _segment_bounds(config: ExperimentConfig) -> list[float]:
     return sorted(p for p in pts if 0.0 <= p <= config.protocol.T5)
 
 
+def _position_moments(z: np.ndarray,
+                      w: np.ndarray) -> tuple[list[float], list[float]]:
+    """<z> and the centred second moment Q of each row of the (2, N)
+    densities w, by direct sums in position space."""
+    wsum = w.sum(axis=1)
+    mean_z = (w * z).sum(axis=1) / wsum
+    Q = ((z - mean_z[:, None]) ** 2 * w).sum(axis=1) / wsum
+    return mean_z.tolist(), Q.tolist()
+
+
 def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 t_end: float | None = None, *,
                 forced_nu: float | None = None,
@@ -211,6 +240,20 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 extra_potential_plus=None,
                 state_times=None) -> GridRun:
     """Propagate both branches and extract moment and phase histories.
+
+    Each step is a Strang step: kinetic half-kick exp(-i hbar k^2 dt/4m)
+    in spectral space, potential kick at the half step in position space,
+    kinetic half-kick.  Both branches are one (2, N) array, so a step
+    costs one inverse and one forward FFT.  Within a protocol segment the
+    closing half-kick of a step and the opening half-kick of the next are
+    merged into one full kick exp(-i hbar k^2 dt/2m).  A segment opens with
+    a half-kick (dt changes at segment bounds), and a snapshot step (every
+    snapshot_stride-th step and the last step of each segment) closes with
+    one, so health checks, recorded moments, phases and state snapshots
+    all see full-step states; the next step goes on from the same
+    spectrum with the full kick.  Between snapshots the potential needs
+    only <z> and Q, taken from |psi|^2 in position space; the full
+    Moments (with the spectral <p> and P) are computed at snapshots only.
 
     forced_nu pins the regime weight for both branches (e.g. 1.0 for a
     harmonic-only run); include_gradient=False switches the Stern-Gerlach
@@ -225,8 +268,8 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     hbar = c.hbar
     R = config.sphere.radius
     G = c.G
-    w_pm = {Branch.PLUS: config.weights.beta_plus_sq,
-            Branch.MINUS: config.weights.beta_minus_sq}
+    # branch weights in the row order of the (2, N) state: plus, minus
+    w_pm = (config.weights.beta_plus_sq, config.weights.beta_minus_sq)
 
     if t_end is None:
         t_end = config.protocol.T5
@@ -237,6 +280,8 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
 
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.dz)
     z = state.z
+    kernel = (_convolution_kernel(z, config.sphere, c)
+              if full_convolution else None)
 
     times = [0.0]
     mom_p = [extract_moments(state, Branch.PLUS, hbar)]
@@ -261,33 +306,32 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
 
     snapshot_state(0.0)
 
-    def gravity_potential(branch: Branch, mp: Moments, mm: Moments,
+    def gravity_potential(row: int, mean_z: list[float], Q: list[float],
                           dens_weighted: np.ndarray | None):
-        mine = mp if branch is Branch.PLUS else mm
-        d = abs(mp.mean_z - mm.mean_z)
+        d = abs(mean_z[0] - mean_z[1])
         if forced_nu is not None:
             nu = forced_nu
         elif d <= 2.0 * R:
             nu = 1.0
         else:
-            nu = math.sqrt(w_pm[branch])
+            nu = math.sqrt(w_pm[row])
         overlap = forced_nu is None and d <= 2.0 * R
         if full_convolution and overlap and dens_weighted is not None:
-            return self_potential_convolution(z, dens_weighted,
-                                              config.sphere, c)
-        w_eff = effective_omega_s(max(mine.Q, 1e-300), config.sphere, c,
+            return _convolve(z, dens_weighted, kernel)
+        w_eff = effective_omega_s(max(Q[row], 1e-300), config.sphere, c,
                                   config.nuclear_correction) if G > 0 else 0.0
         nu2 = nu * nu
-        v = nu2 * (0.5 * m * w_eff**2 * (z - mine.mean_z) ** 2
-                   + 0.5 * m * w_eff**2 * mine.Q
+        v = nu2 * (0.5 * m * w_eff**2 * (z - mean_z[row]) ** 2
+                   + 0.5 * m * w_eff**2 * Q[row]
                    - 1.2 * G * m * m / R)
         if nu < 1.0 and G != 0.0 and d > 0.0:
             v = v - (1.0 - nu2) * G * m * m / d
         return v
 
-    def potential(branch: Branch, t_mid: float, mp: Moments, mm: Moments,
-                  dens_weighted):
-        v = gravity_potential(branch, mp, mm, dens_weighted)
+    def potential(branch: Branch, t_mid: float, mean_z: list[float],
+                  Q: list[float], dens_weighted):
+        row = 0 if branch is Branch.PLUS else 1
+        v = gravity_potential(row, mean_z, Q, dens_weighted)
         if include_gradient:
             lam = lambda_of_t(min(t_mid, config.protocol.T5), config.protocol)
             half = 0.5 * c.g_factor * c.mu_B
@@ -313,6 +357,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                     f"branch {b.name} reached the boundary at t={t}: "
                     f"edge probability {edge:.3e}, <z>={mz:.4e}")
 
+    psi = np.stack([state.psi_plus, state.psi_minus])
     bounds = [b for b in _segment_bounds(config) if b < t_end] + [t_end]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi <= lo:
@@ -320,13 +365,16 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         n_sub = max(1, math.ceil((hi - lo) / spec.dt))
         dt = (hi - lo) / n_sub
         kin_half = np.exp(-1j * hbar * k * k * dt / (4.0 * m))
+        kin_full = np.exp(-1j * hbar * k * k * dt / (2.0 * m))
         # splitting sanity: the potential multiplier must not alias, i.e.
         # its phase advance per step must vary by well under pi between
-        # neighboring cells (uniform and linear offsets are harmless)
-        mp = extract_moments(state, Branch.PLUS, hbar)
-        mm = extract_moments(state, Branch.MINUS, hbar)
+        # neighboring cells (uniform and linear offsets are harmless).  A
+        # segment starts on the last recorded state, so its moments are
+        # the last recorded ones.
+        mean_z = [mom_p[-1].mean_z, mom_m[-1].mean_z]
+        Q = [mom_p[-1].Q, mom_m[-1].Q]
         for b in Branch:
-            vtest = potential(b, lo + 0.5 * dt, mp, mm, None)
+            vtest = potential(b, lo + 0.5 * dt, mean_z, Q, None)
             if np.isscalar(vtest):
                 continue
             cell_jump = float(np.max(np.abs(np.diff(vtest)))) * dt / hbar
@@ -336,28 +384,28 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                     f"between neighboring cells per step; reduce dt below "
                     f"{0.5 * math.pi * hbar * dt / cell_jump:.3e}")
 
+        # phi is the spectrum still owed a kinetic kick: kin_half at the
+        # segment start, kin_full (two merged half-kicks) after a step
+        phi = np.fft.fft(psi)
+        kin = kin_half
         for i in range(n_sub):
             t0 = lo + i * dt
-            psi_p = np.fft.ifft(kin_half * np.fft.fft(state.psi_plus))
-            psi_m = np.fft.ifft(kin_half * np.fft.fft(state.psi_minus))
-            state.psi_plus, state.psi_minus = psi_p, psi_m
-            # shared moment snapshot at the half step
-            mp = extract_moments(state, Branch.PLUS, hbar)
-            mm = extract_moments(state, Branch.MINUS, hbar)
-            dens_weighted = None
-            if full_convolution:
-                dens_weighted = (w_pm[Branch.PLUS] * np.abs(state.psi_plus) ** 2
-                                 + w_pm[Branch.MINUS] * np.abs(state.psi_minus) ** 2)
+            psi = np.fft.ifft(kin * phi)
+            kin = kin_full
+            # shared moments at the half step
+            w = psi.real ** 2 + psi.imag ** 2
+            mean_z, Q = _position_moments(z, w)
+            dens_weighted = (w_pm[0] * w[0] + w_pm[1] * w[1]
+                             if full_convolution else None)
             t_mid = t0 + 0.5 * dt
-            vp = potential(Branch.PLUS, t_mid, mp, mm, dens_weighted)
-            vm = potential(Branch.MINUS, t_mid, mp, mm, dens_weighted)
-            state.psi_plus = np.fft.ifft(
-                kin_half * np.fft.fft(np.exp(-1j * vp * dt / hbar) * state.psi_plus))
-            state.psi_minus = np.fft.ifft(
-                kin_half * np.fft.fft(np.exp(-1j * vm * dt / hbar) * state.psi_minus))
-            state.t = t0 + dt
+            v = np.stack([potential(b, t_mid, mean_z, Q, dens_weighted)
+                          for b in Branch])
+            phi = np.fft.fft(np.exp(-1j * v * dt / hbar) * psi)
             n_steps += 1
             if n_steps % spec.snapshot_stride == 0 or i == n_sub - 1:
+                psi = np.fft.ifft(kin_half * phi)
+                state.psi_plus, state.psi_minus = psi[0], psi[1]
+                state.t = t0 + dt
                 check_health(state, state.t)
                 times.append(state.t)
                 mom_p.append(extract_moments(state, Branch.PLUS, hbar))
@@ -366,14 +414,8 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                                 - center_phase(state, Branch.MINUS))
                 snapshot_state(state.t)
 
-    diff = np.unwrap(np.asarray(raw_diff))
-    steps = np.abs(np.diff(diff))
-    if steps.size and float(steps.max()) > 0.5 * math.pi:
-        raise PhaseUnwrapError(
-            f"phase difference jumped by {steps.max():.3f} rad between "
-            f"snapshots; sample the history more densely")
     return GridRun(t=np.asarray(times), moments_plus=mom_p, moments_minus=mom_m,
-                   delta_phi=diff - diff[0], final_state=state,
+                   delta_phi=_unwrap_difference(raw_diff), final_state=state,
                    max_norm_drift=max_drift, n_steps=n_steps, states=recorded)
 
 

@@ -226,6 +226,9 @@ class PhasePipeline:
         )
 
     def breakdown(self, t: float | None = None) -> PhaseBreakdown:
+        """Per-branch terms and their differences at t (default T5).
+
+        Raises FloatingPointError when delta_phi is not finite."""
         if t is None:
             t = self.config.protocol.T5
         plus = self.branch_phase(Branch.PLUS, t)
@@ -244,10 +247,15 @@ class PhasePipeline:
         i2_diff = -(plus.i2 - minus.i2)
         const_diff = -(plus.const_self - minus.const_self)
         newton_diff = -(plus.newton_cross - minus.newton_cross)
+        delta_phi = (boundary_diff + classical_diff + i1_diff + i2_diff
+                     + const_diff + newton_diff)
+        if not math.isfinite(delta_phi):
+            raise FloatingPointError(
+                f"non-finite delta_phi = {delta_phi!r} at t = {t} (terms: "
+                f"i1 {i1_diff!r}, i2 {i2_diff!r}, const {const_diff!r}, "
+                f"newton {newton_diff!r}, boundary {boundary_diff!r})")
         return PhaseBreakdown(
-            t=t, plus=plus, minus=minus,
-            delta_phi=(boundary_diff + classical_diff + i1_diff + i2_diff
-                       + const_diff + newton_diff),
+            t=t, plus=plus, minus=minus, delta_phi=delta_phi,
             i1_diff=i1_diff, i2_diff=i2_diff, const_self_diff=const_diff,
             newton_diff=newton_diff, classical_diff=classical_diff,
             boundary_diff=boundary_diff)

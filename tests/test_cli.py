@@ -88,6 +88,8 @@ class TestNonFiniteResults:
         assert main(["baseline", "--config", str(cfg_file),
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not (out / "summary.json").exists()
+        # the library raises before any artefact is written
+        assert not list(out.glob("*.csv"))
 
 
 class TestExpectations:

@@ -168,6 +168,27 @@ class TestScaledCrossCheck:
             assert 3.0 <= coarse / fine <= 5.0
 
 
+class TestRegressionPin:
+    def test_scaled_run_pinned(self, scaled, spec_small):
+        # values of the unmerged Strang loop (two half-kicks per step, one
+        # branch per FFT); the merged loop must reproduce them
+        run = evolve_grid(scaled, spec_small)
+        assert run.n_steps == 2002
+        assert len(run.t) == 28
+        assert run.delta_phi_final == pytest.approx(-0.09194534262907927,
+                                                    abs=1e-10)
+        assert run.q_history(Branch.PLUS)[-1] == pytest.approx(
+            1.9406865797488986, rel=1e-11)
+        assert run.q_history(Branch.MINUS)[-1] == pytest.approx(
+            1.911685184979211, rel=1e-11)
+        # the returned state is the full-step state the last moments saw
+        hbar = scaled.constants.hbar
+        assert extract_moments(run.final_state, Branch.PLUS, hbar) \
+            == run.moments_plus[-1]
+        assert extract_moments(run.final_state, Branch.MINUS, hbar) \
+            == run.moments_minus[-1]
+
+
 class TestCrossTermRouting:
     def test_pure_plus_weights_feel_no_cross_term(self, scaled):
         # with weights (1, 0): nu_+ = 1 always, so the plus branch keeps the

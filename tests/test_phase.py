@@ -344,6 +344,14 @@ class TestRadiusSweep:
         assert points[1].delta_phi is None
         assert points[2].error is None
 
+    def test_non_finite_point_is_an_error(self):
+        # validate accepts sqrt(Q0) = 1e-100 m, but the phase terms are
+        # not representable in double precision
+        narrow = baseline_config(sqrt_Q0=1e-100)
+        [point] = radius_sweep(narrow, [narrow.sphere.radius])
+        assert point.delta_phi is None
+        assert point.error.startswith("FloatingPointError")
+
     def test_fit_needs_two_points(self, baseline):
         with pytest.raises(ValueError):
             fit_log_slope(radius_sweep(baseline, [1e-6]))
