@@ -283,9 +283,6 @@ class AnalyticBranch:
     def q(self, t: float) -> float:
         return self.moments(t)[0]
 
-    def p_var(self, t: float) -> float:
-        return self.moments(t)[1]
-
 
 @dataclass(frozen=True)
 class SpreadCurve:

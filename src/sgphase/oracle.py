@@ -126,12 +126,6 @@ def center_phase(state: GridState, branch: Branch, half_width: int = 3) -> float
     return float(np.polyval(coeffs, 0.0))
 
 
-def extract_phase(states: list[GridState], branch: Branch) -> np.ndarray:
-    """Center phase of one branch along a state history (wrapped values;
-    only phase differences between branches are unwrap-safe)."""
-    return np.array([center_phase(s, branch) for s in states])
-
-
 def _unwrap_difference(raw) -> np.ndarray:
     """Unwrap a history of wrapped phase differences, referenced to zero
     at its first value; a jump beyond pi/2 between neighbours is
@@ -143,23 +137,6 @@ def _unwrap_difference(raw) -> np.ndarray:
             f"phase difference jumped by {steps.max():.3f} rad between "
             f"recorded states; record the history more densely")
     return diff - diff[0]
-
-
-def extract_phase_difference(states: list[GridState]) -> np.ndarray:
-    """Unwrapped phase difference plus-minus along a state history,
-    referenced to zero at the first state."""
-    return _unwrap_difference(extract_phase(states, Branch.PLUS)
-                              - extract_phase(states, Branch.MINUS))
-
-
-def dump_state_csv(state: GridState, path) -> None:
-    """Snapshot dump: one row per grid point with both branch amplitudes."""
-    with open(path, "w") as f:
-        f.write("z_m,re_psi_plus,im_psi_plus,re_psi_minus,im_psi_minus\n")
-        for i in range(state.z.size):
-            row = (state.z[i], state.psi_plus[i].real, state.psi_plus[i].imag,
-                   state.psi_minus[i].real, state.psi_minus[i].imag)
-            f.write(",".join(format(x, ".17e") for x in row) + "\n")
 
 
 def _convolution_kernel(z: np.ndarray, sphere: SphereParams,
@@ -195,7 +172,6 @@ class GridRun:
     final_state: GridState
     max_norm_drift: float
     n_steps: int
-    states: list[GridState] | None = None  # full snapshots, if requested
 
     @property
     def delta_phi_final(self) -> float:
@@ -234,12 +210,9 @@ def _position_moments(z: np.ndarray,
 
 def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 t_end: float | None = None, *,
-                forced_nu: float | None = None,
-                include_gradient: bool = True,
-                full_convolution: bool = False,
-                extra_potential_plus=None,
-                state_times=None) -> GridRun:
-    """Propagate both branches and extract moment and phase histories.
+                full_convolution: bool = False) -> GridRun:
+    """Propagate both branches of `config` from t = 0 to t_end (default
+    T5) and extract moment and phase histories.
 
     Each step is a Strang step: kinetic half-kick exp(-i hbar k^2 dt/4m)
     in spectral space, potential kick at the half step in position space,
@@ -249,19 +222,14 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     merged into one full kick exp(-i hbar k^2 dt/2m).  A segment opens with
     a half-kick (dt changes at segment bounds), and a snapshot step (every
     snapshot_stride-th step and the last step of each segment) closes with
-    one, so health checks, recorded moments, phases and state snapshots
-    all see full-step states; the next step goes on from the same
-    spectrum with the full kick.  Between snapshots the potential needs
-    only <z> and Q, taken from |psi|^2 in position space; the full
-    Moments (with the spectral <p> and P) are computed at snapshots only.
+    one, so health checks, recorded moments and phases all see full-step
+    states; the next step goes on from the same spectrum with the full
+    kick.  Between snapshots the potential needs only <z> and Q, taken
+    from |psi|^2 in position space; the full Moments (with the spectral
+    <p> and P) are computed at snapshots only.
 
-    forced_nu pins the regime weight for both branches (e.g. 1.0 for a
-    harmonic-only run); include_gradient=False switches the Stern-Gerlach
-    force off; full_convolution replaces the quadratic overlap-regime
-    self-potential with the exact convolution against v_eff;
-    extra_potential_plus(z, t) is added to the plus branch only;
-    state_times requests full wavefunction snapshots at the first recorded
-    time at or past each value.
+    full_convolution replaces the quadratic overlap-regime self-potential
+    with the exact convolution against v_eff.
     """
     c = config.constants
     m = config.sphere.mass
@@ -282,6 +250,10 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     z = state.z
     kernel = (_convolution_kernel(z, config.sphere, c)
               if full_convolution else None)
+    # Stern-Gerlach energy +-lambda(t) (g mu_B/2) (B0 - B0' z) of the plus
+    # and minus branch; the field profile is built once per run
+    sg_half = 0.5 * c.g_factor * c.mu_B
+    field = config.protocol.B0 - config.protocol.B0_grad * z
 
     times = [0.0]
     mom_p = [extract_moments(state, Branch.PLUS, hbar)]
@@ -291,54 +263,30 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     max_drift = 0.0
     n_steps = 0
 
-    pending_dumps = sorted(state_times) if state_times is not None else []
-    recorded: list[GridState] | None = [] if state_times is not None else None
-
-    def snapshot_state(t_now: float) -> None:
-        nonlocal pending_dumps
-        if recorded is None or not pending_dumps or t_now < pending_dumps[0]:
-            return
-        while pending_dumps and t_now >= pending_dumps[0]:
-            pending_dumps = pending_dumps[1:]
-        recorded.append(GridState(z=state.z, dz=state.dz,
-                                  psi_plus=state.psi_plus.copy(),
-                                  psi_minus=state.psi_minus.copy(), t=t_now))
-
-    snapshot_state(0.0)
-
-    def gravity_potential(row: int, mean_z: list[float], Q: list[float],
-                          dens_weighted: np.ndarray | None):
+    def potential(t_mid: float, mean_z: list[float], Q: list[float],
+                  dens_weighted: np.ndarray | None) -> np.ndarray:
+        """(2, N) potential of the plus and minus rows at t_mid."""
         d = abs(mean_z[0] - mean_z[1])
-        if forced_nu is not None:
-            nu = forced_nu
-        elif d <= 2.0 * R:
-            nu = 1.0
-        else:
-            nu = math.sqrt(w_pm[row])
-        overlap = forced_nu is None and d <= 2.0 * R
+        overlap = d <= 2.0 * R
+        v = np.empty((2, z.size))
         if full_convolution and overlap and dens_weighted is not None:
-            return _convolve(z, dens_weighted, kernel)
-        w_eff = effective_omega_s(max(Q[row], 1e-300), config.sphere, c,
-                                  config.nuclear_correction) if G > 0 else 0.0
-        nu2 = nu * nu
-        v = nu2 * (0.5 * m * w_eff**2 * (z - mean_z[row]) ** 2
-                   + 0.5 * m * w_eff**2 * Q[row]
-                   - 1.2 * G * m * m / R)
-        if nu < 1.0 and G != 0.0 and d > 0.0:
-            v = v - (1.0 - nu2) * G * m * m / d
-        return v
-
-    def potential(branch: Branch, t_mid: float, mean_z: list[float],
-                  Q: list[float], dens_weighted):
-        row = 0 if branch is Branch.PLUS else 1
-        v = gravity_potential(row, mean_z, Q, dens_weighted)
-        if include_gradient:
-            lam = lambda_of_t(min(t_mid, config.protocol.T5), config.protocol)
-            half = 0.5 * c.g_factor * c.mu_B
-            v = v + branch.sign * lam * half * (config.protocol.B0
-                                                - config.protocol.B0_grad * z)
-        if extra_potential_plus is not None and branch is Branch.PLUS:
-            v = v + extra_potential_plus(z, t_mid)
+            v[:] = _convolve(z, dens_weighted, kernel)
+        else:
+            for row in (0, 1):
+                nu = 1.0 if overlap else math.sqrt(w_pm[row])
+                w_eff = (effective_omega_s(max(Q[row], 1e-300), config.sphere,
+                                           c, config.nuclear_correction)
+                         if G > 0 else 0.0)
+                nu2 = nu * nu
+                v[row] = nu2 * (0.5 * m * w_eff**2 * (z - mean_z[row]) ** 2
+                                + 0.5 * m * w_eff**2 * Q[row]
+                                - 1.2 * G * m * m / R)
+                if nu < 1.0 and G != 0.0 and d > 0.0:
+                    v[row] -= (1.0 - nu2) * G * m * m / d
+        sg = lambda_of_t(min(t_mid, config.protocol.T5),
+                         config.protocol) * sg_half * field
+        v[0] += sg
+        v[1] -= sg
         return v
 
     def check_health(st: GridState, t: float) -> None:
@@ -371,18 +319,14 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         # neighboring cells (uniform and linear offsets are harmless).  A
         # segment starts on the last recorded state, so its moments are
         # the last recorded ones.
-        mean_z = [mom_p[-1].mean_z, mom_m[-1].mean_z]
-        Q = [mom_p[-1].Q, mom_m[-1].Q]
-        for b in Branch:
-            vtest = potential(b, lo + 0.5 * dt, mean_z, Q, None)
-            if np.isscalar(vtest):
-                continue
-            cell_jump = float(np.max(np.abs(np.diff(vtest)))) * dt / hbar
-            if cell_jump > 0.5 * math.pi:
-                raise StepSizeError(
-                    f"potential phase aliases at t={lo}: {cell_jump:.2f} rad "
-                    f"between neighboring cells per step; reduce dt below "
-                    f"{0.5 * math.pi * hbar * dt / cell_jump:.3e}")
+        vtest = potential(lo + 0.5 * dt, [mom_p[-1].mean_z, mom_m[-1].mean_z],
+                          [mom_p[-1].Q, mom_m[-1].Q], None)
+        cell_jump = float(np.max(np.abs(np.diff(vtest, axis=1)))) * dt / hbar
+        if cell_jump > 0.5 * math.pi:
+            raise StepSizeError(
+                f"potential phase aliases at t={lo}: {cell_jump:.2f} rad "
+                f"between neighboring cells per step; reduce dt below "
+                f"{0.5 * math.pi * hbar * dt / cell_jump:.3e}")
 
         # phi is the spectrum still owed a kinetic kick: kin_half at the
         # segment start, kin_full (two merged half-kicks) after a step
@@ -397,9 +341,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
             mean_z, Q = _position_moments(z, w)
             dens_weighted = (w_pm[0] * w[0] + w_pm[1] * w[1]
                              if full_convolution else None)
-            t_mid = t0 + 0.5 * dt
-            v = np.stack([potential(b, t_mid, mean_z, Q, dens_weighted)
-                          for b in Branch])
+            v = potential(t0 + 0.5 * dt, mean_z, Q, dens_weighted)
             phi = np.fft.fft(np.exp(-1j * v * dt / hbar) * psi)
             n_steps += 1
             if n_steps % spec.snapshot_stride == 0 or i == n_sub - 1:
@@ -412,11 +354,10 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 mom_m.append(extract_moments(state, Branch.MINUS, hbar))
                 raw_diff.append(center_phase(state, Branch.PLUS)
                                 - center_phase(state, Branch.MINUS))
-                snapshot_state(state.t)
 
     return GridRun(t=np.asarray(times), moments_plus=mom_p, moments_minus=mom_m,
                    delta_phi=_unwrap_difference(raw_diff), final_state=state,
-                   max_norm_drift=max_drift, n_steps=n_steps, states=recorded)
+                   max_norm_drift=max_drift, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -150,34 +150,23 @@ class PhasePipeline:
                     / branch_distance(t, self.config))
         return val
 
-    def _i1(self, branch: Branch, t: float) -> float:
-        total = 0.0
+    def _interval_sums(self, branch: Branch,
+                       t: float) -> tuple[float, float, float]:
+        """(i1, i2, const_self) of one branch up to t, from one walk over
+        its regime intervals."""
+        i1 = i2 = const = 0.0
         for iv in self.branches[branch].intervals:
             if t <= iv.t_lo:
                 break
             tau = min(t, iv.t_hi) - iv.t_lo
-            total += integral_inv_q(iv.A_start, iv.nu, iv.omega, self._mass,
-                                    self._hbar, tau)
-        return 0.25 * self._hbar / self._mass * total
-
-    def _i2(self, branch: Branch, t: float) -> float:
-        total = 0.0
-        for iv in self.branches[branch].intervals:
-            if t <= iv.t_lo:
-                break
-            tau = min(t, iv.t_hi) - iv.t_lo
+            i1 += integral_inv_q(iv.A_start, iv.nu, iv.omega, self._mass,
+                                 self._hbar, tau)
             coeff = 0.5 * self._mass * iv.omega**2 * iv.nu**2 / self._hbar
-            total += coeff * integral_q(iv.A_start, iv.nu, iv.omega,
-                                        self._mass, self._hbar, tau)
-        return total
-
-    def _const_self(self, branch: Branch, t: float) -> float:
-        total = 0.0
-        for iv in self.branches[branch].intervals:
-            if t <= iv.t_lo:
-                break
-            total += iv.nu**2 * (min(t, iv.t_hi) - iv.t_lo)
-        return -self._const_rate * total
+            i2 += coeff * integral_q(iv.A_start, iv.nu, iv.omega,
+                                     self._mass, self._hbar, tau)
+            const += iv.nu**2 * tau
+        return (0.25 * self._hbar / self._mass * i1, i2,
+                -self._const_rate * const)
 
     def _inv_d_integral(self, t_lo: float, t_hi: float) -> float:
         """int dt / d(t) over [t_lo, t_hi] with d from the piecewise
@@ -215,13 +204,14 @@ class PhasePipeline:
             t = self.config.protocol.T5
         ms = mean_state(branch, t, self.config)
         A = self.branches[branch].a(t)
+        i1, i2, const_self = self._interval_sums(branch, t)
         return BranchPhase(
             boundary_zp=-ms.mean_z * ms.mean_p / self._hbar,
             boundary_width=-0.5 * ms.mean_z**2 * A.imag,
             classical=classical_phase(branch, self.config, t),
-            i1=self._i1(branch, t),
-            i2=self._i2(branch, t),
-            const_self=self._const_self(branch, t),
+            i1=i1,
+            i2=i2,
+            const_self=const_self,
             newton_cross=self._newton(branch, t),
         )
 

@@ -15,7 +15,7 @@ from sgphase.oracle import (GridEscapeError, GridSpec, PhaseUnwrapError,
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import mean_state
+from sgphase.trajectories import lambda_integral, mean_state
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,14 @@ def no_gravity(config):
     c = config.constants
     return replace(config, constants=ConstantsSet(
         name="g-zero", G=0.0, hbar=c.hbar, mu_B=c.mu_B, g_factor=c.g_factor))
+
+
+def no_gradient(config, B0=0.0):
+    """The same run with the Stern-Gerlach gradient off: no separation,
+    and a uniform field B0 gives the branches flat energies
+    +-lambda(t) g mu_B B0/2."""
+    return replace(config, protocol=replace(config.protocol, B0=B0,
+                                            B0_grad=0.0))
 
 
 class TestMoments:
@@ -67,8 +75,8 @@ class TestMoments:
 
 class TestFreeSpreading:
     def test_matches_exact_law(self, scaled, spec_small):
-        cfg = no_gravity(scaled)
-        run = evolve_grid(cfg, spec_small, include_gradient=False)
+        cfg = no_gradient(no_gravity(scaled))
+        run = evolve_grid(cfg, spec_small)
         hbar = cfg.constants.hbar
         m = cfg.sphere.mass
         Q0 = cfg.initial.Q0
@@ -89,8 +97,8 @@ class TestFreeSpreading:
 
 class TestHarmonicOnly:
     def test_width_matches_closed_form(self, scaled, spec_small):
-        run = evolve_grid(scaled, spec_small, forced_nu=1.0,
-                          include_gradient=False)
+        # co-located packets (d = 0 <= 2R) keep nu = 1 throughout
+        run = evolve_grid(no_gradient(scaled), spec_small)
         q_ref = np.array([spread_Q(t, 1.0, scaled) for t in run.t])
         for b in Branch:
             rel = np.abs(run.q_history(b) - q_ref) / q_ref
@@ -113,34 +121,31 @@ class TestEhrenfest:
 
 
 class TestPhaseExtraction:
-    def test_constant_offset_phase(self, scaled, spec_small):
-        # a flat extra potential on one branch shifts the phase difference
-        # by exactly -V0 tau / hbar
-        cfg = replace(no_gravity(scaled), weights=SpinWeights(0.5, 0.5))
-        v0 = 0.04
-        tau = 0.8
-
-        def bump(z, t):
-            return v0 if t <= tau else 0.0
-
-        run = evolve_grid(cfg, spec_small, include_gradient=False,
-                          extra_potential_plus=bump)
-        expected = -v0 * tau / cfg.constants.hbar
-        assert run.delta_phi_final == pytest.approx(expected, rel=1e-6)
+    def test_uniform_field_phase(self, scaled, spec_small):
+        # a uniform field alone splits the branch energies by
+        # lambda(t) g mu_B B0, so the phase difference follows
+        # -g mu_B B0 Lambda(t) / hbar at every recorded time
+        B0 = 0.04
+        cfg = replace(no_gradient(no_gravity(scaled), B0=B0),
+                      weights=SpinWeights(0.5, 0.5))
+        c = cfg.constants
+        run = evolve_grid(cfg, spec_small)
+        expected = np.array([-c.g_factor * c.mu_B * B0 / c.hbar
+                             * lambda_integral(cfg.protocol, t)
+                             for t in run.t])
+        assert float(np.abs(expected).max()) > 0.01
+        np.testing.assert_allclose(run.delta_phi, expected, rtol=0,
+                                   atol=1e-8)
 
     def test_unwrap_guard(self, scaled):
-        # force > pi/2 jumps between snapshots with a fast dephasing and a
-        # sparse history
-        cfg = replace(no_gravity(scaled), weights=SpinWeights(0.5, 0.5))
+        # force > pi/2 jumps between snapshots with a strong uniform field
+        # (fast dephasing) and a sparse history
+        cfg = replace(no_gradient(no_gravity(scaled), B0=20.0),
+                      weights=SpinWeights(0.5, 0.5))
         spec = GridSpec(n=1024, z_min=-32.0, z_max=32.0, dt=1e-3,
                         snapshot_stride=10**9)
-
-        def fast(z, t):
-            return 40.0
-
         with pytest.raises(PhaseUnwrapError):
-            evolve_grid(cfg, spec, t_end=0.25, include_gradient=False,
-                        extra_potential_plus=fast)
+            evolve_grid(cfg, spec, t_end=0.25)
 
 
 class TestScaledCrossCheck:
@@ -169,10 +174,14 @@ class TestScaledCrossCheck:
 
 
 class TestRegressionPin:
-    def test_scaled_run_pinned(self, scaled, spec_small):
+    @pytest.mark.parametrize("B0", [0.0, 1.0])
+    def test_scaled_run_pinned(self, scaled, spec_small, B0):
         # values of the unmerged Strang loop (two half-kicks per step, one
-        # branch per FFT); the merged loop must reproduce them
-        run = evolve_grid(scaled, spec_small)
+        # branch per FFT); the merged loop must reproduce them.  A uniform
+        # field B0 moves the phase difference mid-run (by up to 0.5 rad at
+        # B0 = 1) but, with Lambda(T5) = 0, leaves the pins unchanged
+        cfg = replace(scaled, protocol=replace(scaled.protocol, B0=B0))
+        run = evolve_grid(cfg, spec_small)
         assert run.n_steps == 2002
         assert len(run.t) == 28
         assert run.delta_phi_final == pytest.approx(-0.09194534262907927,
@@ -278,8 +287,8 @@ class TestConvolutionMode:
         cfg = overlap_config()
         spec = GridSpec(n=512, z_min=-2.0, z_max=2.0, dt=2e-3,
                         snapshot_stride=100)
-        base = evolve_grid(cfg, spec, t_end=1.0, include_gradient=False)
-        conv = evolve_grid(cfg, spec, t_end=1.0, include_gradient=False,
+        base = evolve_grid(no_gradient(cfg), spec, t_end=1.0)
+        conv = evolve_grid(no_gradient(cfg), spec, t_end=1.0,
                            full_convolution=True)
         q_b = base.q_history(Branch.PLUS)
         q_c = conv.q_history(Branch.PLUS)
@@ -302,31 +311,6 @@ class TestCenterPhase:
             1j * (phi0 + k0 * state.z + curv * state.z**2))
         assert center_phase(state, Branch.PLUS) == pytest.approx(phi0,
                                                                  abs=1e-9)
-
-
-class TestStateHistory:
-    def test_snapshots_and_phase_extraction(self, scaled, spec_small, tmp_path):
-        from sgphase.oracle import (dump_state_csv, extract_phase,
-                                    extract_phase_difference)
-        run = evolve_grid(scaled, spec_small, t_end=0.5,
-                          state_times=[0.0, 0.2, 0.4])
-        assert run.states is not None and len(run.states) == 3
-        assert run.states[0].t == 0.0
-        assert run.states[1].t >= 0.2
-        # extraction over the recorded states reproduces the run history
-        diff = extract_phase_difference(run.states)
-        for st, d in zip(run.states, diff):
-            idx = int(np.argmin(np.abs(run.t - st.t)))
-            assert d == pytest.approx(float(run.delta_phi[idx]), abs=1e-9)
-        phases = extract_phase(run.states, Branch.PLUS)
-        assert phases.shape == (3,)
-        # dump format: one row per grid point, both branches
-        path = tmp_path / "snap.csv"
-        dump_state_csv(run.states[-1], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("z_m,re_psi_plus,im_psi_plus,"
-                            "re_psi_minus,im_psi_minus")
-        assert len(lines) == spec_small.n + 1
 
 
 class TestIndependence:

@@ -222,11 +222,15 @@ class TestDeltaPhi:
         cfg = replace(config, weights=SpinWeights(0.5, 0.5))
         assert PhasePipeline(cfg).delta_phi() == 0.0
 
-    def test_uniform_field_invariance(self, baseline):
-        with_b0 = replace(baseline,
-                          protocol=replace(baseline.protocol, B0=0.1))
-        assert abs(PhasePipeline(with_b0).delta_phi()
-                   - PhasePipeline(baseline).delta_phi()) < 1e-10
+    @given(config_strategy,
+           st.floats(min_value=-3.0, max_value=1.0).map(lambda x: 10.0**x))
+    @example(baseline_config(), 0.1)
+    def test_uniform_field_invariance(self, config, B0):
+        # the uniform-field phase is proportional to Lambda(T5), which is
+        # exactly 0 for these dyadic protocols
+        with_b0 = replace(config, protocol=replace(config.protocol, B0=B0))
+        assert PhasePipeline(with_b0).delta_phi() \
+            == PhasePipeline(config).delta_phi()
 
     @given(config_strategy)
     @example(baseline_config())
