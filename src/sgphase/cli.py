@@ -162,15 +162,15 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
     run = evolve_grid(cfg, spec)
     branches = {b: AnalyticBranch(cfg, b) for b in Branch}
     q_closed = {b: np.array([branches[b].q(t) for t in run.t]) for b in Branch}
+    q_grid = {b: run.q_history(b) for b in Branch}
     with open(out / "oracle_compare.csv", "w") as f:
         f.write("t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,Q_minus_closed,"
                 "delta_phi_grid\n")
-        for i, t in enumerate(run.t):
-            row = (t, run.q_history(Branch.PLUS)[i], q_closed[Branch.PLUS][i],
-                   run.q_history(Branch.MINUS)[i], q_closed[Branch.MINUS][i],
-                   run.delta_phi[i])
+        for row in zip(run.t, q_grid[Branch.PLUS], q_closed[Branch.PLUS],
+                       q_grid[Branch.MINUS], q_closed[Branch.MINUS],
+                       run.delta_phi):
             f.write(",".join(_fmt(x) for x in row) + "\n")
-    q_rel = max(float(np.max(np.abs(run.q_history(b) - q_closed[b]) / q_closed[b]))
+    q_rel = max(float(np.max(np.abs(q_grid[b] - q_closed[b]) / q_closed[b]))
                 for b in Branch)
     return {
         "scaled_constants": cfg.constants.name,

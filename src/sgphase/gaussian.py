@@ -282,37 +282,3 @@ class AnalyticBranch:
 
     def q(self, t: float) -> float:
         return self.moments(t)[0]
-
-
-@dataclass(frozen=True)
-class SpreadCurve:
-    """Sampled branch spreads plus the free-particle reference."""
-
-    t: np.ndarray
-    Q_plus: np.ndarray
-    Q_minus: np.ndarray
-    Q_free: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t_s,Q_plus_m2,Q_minus_m2,Q_free_m2\n")
-            for row in zip(self.t, self.Q_plus, self.Q_minus, self.Q_free):
-                f.write(",".join(format(x, ".17e") for x in row) + "\n")
-
-
-def spread_curve(config: ExperimentConfig,
-                 t_grid: np.ndarray | None = None) -> SpreadCurve:
-    if t_grid is None:
-        t_grid = np.linspace(0.0, config.protocol.T5, 2000)
-    plus = AnalyticBranch(config, Branch.PLUS)
-    minus = AnalyticBranch(config, Branch.MINUS)
-    Q0 = config.initial.Q0
-    m = config.sphere.mass
-    hbar = config.constants.hbar
-    free = Q0 * (1.0 + (hbar * t_grid / (2.0 * m * Q0)) ** 2)
-    return SpreadCurve(
-        t=np.asarray(t_grid, dtype=float),
-        Q_plus=np.array([plus.q(t) for t in t_grid]),
-        Q_minus=np.array([minus.q(t) for t in t_grid]),
-        Q_free=free,
-    )

@@ -7,7 +7,10 @@ in position space, with the branch self-potential rebuilt every step from
 the instantaneous moments of the grid state (means, spreads, inter-branch
 distance).  Both branches are held in one (2, N) array, so a step costs
 one forward and one inverse FFT; the closing kinetic half-kick of a step
-and the opening half-kick of the next are merged into one full kick.
+and the opening half-kick of the next are merged into one full kick.  The
+potential kick is one real cos/sin evaluation of the phase V dt/hbar,
+written with the potential, densities and kinetic product into buffers
+allocated once per run, so a step allocates only its two FFT results.
 Nothing here reuses the Gaussian closed forms, so agreement on spreads
 and on the final phase difference validates the analytic pipeline end to
 end.
@@ -198,14 +201,19 @@ def _segment_bounds(config: ExperimentConfig) -> list[float]:
     return sorted(p for p in pts if 0.0 <= p <= config.protocol.T5)
 
 
-def _position_moments(z: np.ndarray,
-                      w: np.ndarray) -> tuple[list[float], list[float]]:
+def _position_moments(z: np.ndarray, w: np.ndarray,
+                      sq: np.ndarray) -> tuple[list[float], list[float]]:
     """<z> and the centred second moment Q of each row of the (2, N)
-    densities w, by direct sums in position space."""
+    densities w, by direct sums in position space; the centred squares
+    are written into the (2, N) scratch buffer sq."""
     wsum = w.sum(axis=1)
-    mean_z = (w * z).sum(axis=1) / wsum
-    Q = ((z - mean_z[:, None]) ** 2 * w).sum(axis=1) / wsum
-    return mean_z.tolist(), Q.tolist()
+    mean_z = (w @ z) / wsum
+    Q = []
+    for row in (0, 1):
+        np.subtract(z, mean_z[row], out=sq[row])
+        np.square(sq[row], out=sq[row])
+        Q.append(float(w[row] @ sq[row] / wsum[row]))
+    return mean_z.tolist(), Q
 
 
 def evolve_grid(config: ExperimentConfig, spec: GridSpec,
@@ -227,6 +235,13 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     kick.  Between snapshots the potential needs only <z> and Q, taken
     from |psi|^2 in position space; the full Moments (with the spectral
     <p> and P) are computed at snapshots only.
+
+    The potential kick is real arithmetic: the phase theta = -V dt/hbar
+    goes into a real buffer and the kick cos(theta) + i sin(theta) into a
+    complex one.  That buffer, the potential, |psi|^2 and the kinetic
+    product are allocated once per run, so a step allocates only the
+    results of its two FFTs.  The snapshot state is an array of its own:
+    the next segment restarts from it and it is the returned final state.
 
     full_convolution replaces the quadratic overlap-regime self-potential
     with the exact convolution against v_eff.
@@ -254,6 +269,16 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     # and minus branch; the field profile is built once per run
     sg_half = 0.5 * c.g_factor * c.mu_B
     field = config.protocol.B0 - config.protocol.B0_grad * z
+    # work buffers, allocated once per run: the potential v, the densities
+    # w, the real scratch theta (centred squares, then the kick phase), the
+    # Stern-Gerlach row sg, the kick and the kinetic product kin * phi
+    shape = (2, z.size)
+    v = np.empty(shape)
+    w = np.empty(shape)
+    theta = np.empty(shape)
+    sg = np.empty(z.size)
+    kick = np.empty(shape, dtype=complex)
+    kphi = np.empty(shape, dtype=complex)
 
     times = [0.0]
     mom_p = [extract_moments(state, Branch.PLUS, hbar)]
@@ -264,13 +289,14 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     n_steps = 0
 
     def potential(t_mid: float, mean_z: list[float], Q: list[float],
-                  dens_weighted: np.ndarray | None) -> np.ndarray:
-        """(2, N) potential of the plus and minus rows at t_mid."""
+                  dens: np.ndarray | None) -> np.ndarray:
+        """(2, N) potential of the plus and minus rows at t_mid, written
+        into v; dens are the (2, N) densities for the convolution."""
         d = abs(mean_z[0] - mean_z[1])
         overlap = d <= 2.0 * R
-        v = np.empty((2, z.size))
-        if full_convolution and overlap and dens_weighted is not None:
-            v[:] = _convolve(z, dens_weighted, kernel)
+        if full_convolution and overlap and dens is not None:
+            v[:] = _convolve(z, w_pm[0] * dens[0] + w_pm[1] * dens[1],
+                             kernel)
         else:
             for row in (0, 1):
                 nu = 1.0 if overlap else math.sqrt(w_pm[row])
@@ -278,34 +304,40 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                                            c, config.nuclear_correction)
                          if G > 0 else 0.0)
                 nu2 = nu * nu
-                v[row] = nu2 * (0.5 * m * w_eff**2 * (z - mean_z[row]) ** 2
-                                + 0.5 * m * w_eff**2 * Q[row]
-                                - 1.2 * G * m * m / R)
+                curv = 0.5 * m * w_eff**2
+                offset = nu2 * (curv * Q[row] - 1.2 * G * m * m / R)
                 if nu < 1.0 and G != 0.0 and d > 0.0:
-                    v[row] -= (1.0 - nu2) * G * m * m / d
-        sg = lambda_of_t(min(t_mid, config.protocol.T5),
-                         config.protocol) * sg_half * field
+                    offset -= (1.0 - nu2) * G * m * m / d
+                vr = v[row]
+                np.subtract(z, mean_z[row], out=vr)
+                np.square(vr, out=vr)
+                vr *= nu2 * curv
+                vr += offset
+        np.multiply(field, lambda_of_t(min(t_mid, config.protocol.T5),
+                                       config.protocol) * sg_half, out=sg)
         v[0] += sg
         v[1] -= sg
         return v
 
-    def check_health(st: GridState, t: float) -> None:
+    def check_health(full: np.ndarray, t: float) -> None:
+        """Norm and edge-mass checks of the (2, N) full-step state."""
         nonlocal max_drift
-        for b in Branch:
-            nrm = norm_sq(st, b)
+        dens = full.real ** 2 + full.imag ** 2
+        dens *= spec.dz
+        norms = dens.sum(axis=1)
+        edges = dens[:, :4].sum(axis=1) + dens[:, -4:].sum(axis=1)
+        for b, row, nrm, edge in zip(Branch, dens, norms, edges):
             max_drift = max(max_drift, abs(nrm - 1.0))
             if abs(nrm - 1.0) > 1e-6:
                 raise RuntimeError(
                     f"norm lost on branch {b.name} at t={t}: {nrm}")
-            dens = np.abs(st.psi(b)) ** 2 * st.dz
-            edge = float(dens[:4].sum() + dens[-4:].sum())
             if edge > 1e-10:
-                mz = float(np.sum(st.z * dens) / dens.sum())
+                mz = float(z @ row / nrm)
                 raise GridEscapeError(
                     f"branch {b.name} reached the boundary at t={t}: "
                     f"edge probability {edge:.3e}, <z>={mz:.4e}")
 
-    psi = np.stack([state.psi_plus, state.psi_minus])
+    full = np.stack([state.psi_plus, state.psi_minus])
     bounds = [b for b in _segment_bounds(config) if b < t_end] + [t_end]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi <= lo:
@@ -330,25 +362,33 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
 
         # phi is the spectrum still owed a kinetic kick: kin_half at the
         # segment start, kin_full (two merged half-kicks) after a step
-        phi = np.fft.fft(psi)
+        phi = np.fft.fft(full)
         kin = kin_half
+        phase_per_v = -dt / hbar
         for i in range(n_sub):
             t0 = lo + i * dt
-            psi = np.fft.ifft(kin * phi)
+            np.multiply(kin, phi, out=kphi)
+            psi = np.fft.ifft(kphi)
             kin = kin_full
             # shared moments at the half step
-            w = psi.real ** 2 + psi.imag ** 2
-            mean_z, Q = _position_moments(z, w)
-            dens_weighted = (w_pm[0] * w[0] + w_pm[1] * w[1]
-                             if full_convolution else None)
-            v = potential(t0 + 0.5 * dt, mean_z, Q, dens_weighted)
-            phi = np.fft.fft(np.exp(-1j * v * dt / hbar) * psi)
+            np.multiply(psi.real, psi.real, out=w)
+            np.multiply(psi.imag, psi.imag, out=theta)
+            w += theta
+            mean_z, Q = _position_moments(z, w, theta)
+            potential(t0 + 0.5 * dt, mean_z, Q, w)
+            # kick exp(-i v dt/hbar) = cos(theta) + i sin(theta)
+            np.multiply(v, phase_per_v, out=theta)
+            np.cos(theta, out=kick.real)
+            np.sin(theta, out=kick.imag)
+            psi *= kick
+            phi = np.fft.fft(psi)
             n_steps += 1
             if n_steps % spec.snapshot_stride == 0 or i == n_sub - 1:
-                psi = np.fft.ifft(kin_half * phi)
-                state.psi_plus, state.psi_minus = psi[0], psi[1]
+                np.multiply(kin_half, phi, out=kphi)
+                full = np.fft.ifft(kphi)
+                state.psi_plus, state.psi_minus = full[0], full[1]
                 state.t = t0 + dt
-                check_health(state, state.t)
+                check_health(full, state.t)
                 times.append(state.t)
                 mom_p.append(extract_moments(state, Branch.PLUS, hbar))
                 mom_m.append(extract_moments(state, Branch.MINUS, hbar))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sgphase.gaussian import (AnalyticBranch, integral_inv_q, integral_q,
                               moments_from_a, propagate_a, regime_intervals,
-                              spread_curve, spread_P, spread_Q,
+                              spread_P, spread_Q,
                               width_difference, width_difference_exact)
 from sgphase.params import (Branch, ConstantsSet, SpinWeights,
                             baseline_config, omega_s, separation_time)
@@ -151,6 +151,20 @@ class TestSpreads:
         assert spread_P(t, 1.0, cfg) == pytest.approx(hbar**2 / (4 * Q0),
                                                       rel=1e-15)
 
+    def test_free_reference_bounds_plus_branch(self, baseline):
+        # self-gravity only narrows: the plus branch starts at Q0 and
+        # never spreads wider than the free packet
+        plus = AnalyticBranch(baseline, Branch.PLUS)
+        Q0 = baseline.initial.Q0
+        m = baseline.sphere.mass
+        hbar = baseline.constants.hbar
+        t = np.linspace(0.0, 2.0, 7)
+        q_plus = np.array([plus.q(ti) for ti in t])
+        q_free = Q0 * (1.0 + (hbar * t / (2.0 * m * Q0)) ** 2)
+        assert q_plus[0] == pytest.approx(Q0)
+        assert np.all(q_plus > 0)
+        assert np.all(q_free[1:] >= q_plus[1:])
+
 
 class TestWidthDifference:
     def test_symmetric_weights_vanish(self, baseline):
@@ -271,17 +285,3 @@ class TestRegimeIntervals:
         ivs_on = regime_intervals(cfg, Branch.PLUS)
         ivs_off = regime_intervals(baseline, Branch.PLUS)
         assert [iv.omega for iv in ivs_on] == [iv.omega for iv in ivs_off]
-
-
-class TestSpreadCurve:
-    def test_csv_export(self, baseline, tmp_path):
-        curve = spread_curve(baseline, np.linspace(0.0, 2.0, 7))
-        path = tmp_path / "spread.csv"
-        curve.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_s,Q_plus_m2,Q_minus_m2,Q_free_m2"
-        assert len(lines) == 8
-        assert curve.Q_plus[0] == pytest.approx(baseline.initial.Q0)
-        # spreading packets, free reference slightly wider than nu > 0 branches
-        assert np.all(curve.Q_plus > 0)
-        assert np.all(curve.Q_free[1:] >= curve.Q_plus[1:])

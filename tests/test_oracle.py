@@ -9,9 +9,10 @@ import pytest
 import sgphase.oracle
 from sgphase.gaussian import AnalyticBranch, spread_Q
 from sgphase.oracle import (GridEscapeError, GridSpec, PhaseUnwrapError,
-                            StepSizeError, center_phase, evolve_grid,
-                            extract_moments, initial_grid_state, norm_sq,
-                            scaled_config, self_potential_convolution)
+                            StepSizeError, _segment_bounds, center_phase,
+                            evolve_grid, extract_moments, initial_grid_state,
+                            norm_sq, scaled_config,
+                            self_potential_convolution)
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
 from sgphase.phase import PhasePipeline
@@ -196,6 +197,24 @@ class TestRegressionPin:
             == run.moments_plus[-1]
         assert extract_moments(run.final_state, Branch.MINUS, hbar) \
             == run.moments_minus[-1]
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_stop_at_segment_bound_is_prefix(self, scaled, spec_small, bound):
+        # a run stopped at a segment bound ends on a snapshot, and the full
+        # run restarts the next segment from that same snapshot state, so
+        # the short run is bitwise the head of the full one
+        t_end = _segment_bounds(scaled)[bound]
+        full = evolve_grid(scaled, spec_small)
+        head = evolve_grid(scaled, spec_small, t_end=t_end)
+        n = len(head.t)
+        assert head.t[-1] == t_end
+        np.testing.assert_array_equal(head.t, full.t[:n])
+        for b in Branch:
+            np.testing.assert_array_equal(head.q_history(b),
+                                          full.q_history(b)[:n])
+        np.testing.assert_array_equal(head.delta_phi, full.delta_phi[:n])
+        assert head.moments_plus[-1] == full.moments_plus[n - 1]
+        assert head.moments_minus[-1] == full.moments_minus[n - 1]
 
 
 class TestCrossTermRouting:
