@@ -160,18 +160,17 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
     pipe = PhasePipeline(cfg)
     closed = pipe.breakdown().delta_phi
     run = evolve_grid(cfg, spec)
-    branches = {b: AnalyticBranch(cfg, b) for b in Branch}
-    q_closed = {b: np.array([branches[b].q(t) for t in run.t]) for b in Branch}
-    q_grid = {b: run.q_history(b) for b in Branch}
+    # (n, 2) histories, columns plus and minus as in run.moments
+    branches = [AnalyticBranch(cfg, b) for b in Branch]
+    q_closed = np.array([[ab.q(t) for ab in branches] for t in run.t])
+    q_grid = run.moments.Q
     with open(out / "oracle_compare.csv", "w") as f:
         f.write("t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,Q_minus_closed,"
                 "delta_phi_grid\n")
-        for row in zip(run.t, q_grid[Branch.PLUS], q_closed[Branch.PLUS],
-                       q_grid[Branch.MINUS], q_closed[Branch.MINUS],
-                       run.delta_phi):
+        for t, qg, qc, dphi in zip(run.t, q_grid, q_closed, run.delta_phi):
+            row = (t, qg[0], qc[0], qg[1], qc[1], dphi)
             f.write(",".join(_fmt(x) for x in row) + "\n")
-    q_rel = max(float(np.max(np.abs(q_grid[b] - q_closed[b]) / q_closed[b]))
-                for b in Branch)
+    q_rel = float(np.max(np.abs(q_grid - q_closed) / q_closed))
     return {
         "scaled_constants": cfg.constants.name,
         "omega_s_T5": omega_s_of(cfg.sphere, cfg.constants) * cfg.protocol.T5,

@@ -69,16 +69,6 @@ def moments_from_a(A: complex, mass: float, hbar: float) -> tuple[float, float, 
     return Q, P, sigma
 
 
-def a_analytic(t: float, nu: float, config: ExperimentConfig) -> complex:
-    """Closed-form A(t) for constant regime weight nu from the trap ground
-    state A(0) = 1/(2 Q0) (real)."""
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    A0 = complex(0.5 / config.initial.Q0, 0.0)
-    w = omega_s_of(config.sphere, config.constants)
-    return propagate_a(A0, nu, w, config.sphere.mass, config.constants.hbar, t)
-
-
 # ---------------------------------------------------------------------------
 # closed-form spreads
 

@@ -5,7 +5,9 @@ Steiger, J. Comput. Phys. 47, 412, 1982; Strang, SIAM J. Numer. Anal. 5,
 506, 1968): kinetic propagation in spectral space, potential propagation
 in position space, with the branch self-potential rebuilt every step from
 the instantaneous moments of the grid state (means, spreads, inter-branch
-distance).  Both branches are held in one (2, N) array, so a step costs
+distance).  The state of both branches is one (2, N) array, rows plus and
+minus (see GridRun); the step, the moments, the center phases and the
+recorded histories all work row-wise on that one layout.  A step costs
 one forward and one inverse FFT; the closing kinetic half-kick of a step
 and the opening half-kick of the next are merged into one full kick.  The
 potential kick is one real cos/sin evaluation of the phase V dt/hbar,
@@ -53,6 +55,13 @@ class GridSpec:
     dt: float
     snapshot_stride: int = 40
 
+    def __post_init__(self):
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if self.snapshot_stride < 1:
+            raise ValueError(
+                f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+
     @property
     def dz(self) -> float:
         return (self.z_max - self.z_min) / self.n
@@ -65,20 +74,19 @@ class GridSpec:
 class GridState:
     z: np.ndarray
     dz: float
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
+    psi: np.ndarray      # (2, N): one row per branch
     t: float
-
-    def psi(self, branch: Branch) -> np.ndarray:
-        return self.psi_plus if branch is Branch.PLUS else self.psi_minus
 
 
 @dataclass(frozen=True)
 class Moments:
-    mean_z: float
-    mean_p: float
-    Q: float
-    P: float
+    """One value per branch: (2,) fields for a state, (n_snapshots, 2)
+    fields for a history."""
+
+    mean_z: np.ndarray
+    mean_p: np.ndarray
+    Q: np.ndarray
+    P: np.ndarray
 
 
 def initial_grid_state(config: ExperimentConfig, spec: GridSpec) -> GridState:
@@ -87,46 +95,38 @@ def initial_grid_state(config: ExperimentConfig, spec: GridSpec) -> GridState:
     Q0 = config.initial.Q0
     psi = np.exp(-z * z / (4.0 * Q0)).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.dz)
-    return GridState(z=z, dz=spec.dz, psi_plus=psi.copy(),
-                     psi_minus=psi.copy(), t=0.0)
+    return GridState(z=z, dz=spec.dz, psi=np.stack([psi, psi]), t=0.0)
 
 
-def norm_sq(state: GridState, branch: Branch) -> float:
-    return float(np.sum(np.abs(state.psi(branch)) ** 2) * state.dz)
+def extract_moments(state: GridState, hbar: float) -> Moments:
+    """Row-wise moments: position moments by direct sums, momentum moments
+    from one (2, N) FFT."""
+    w = np.abs(state.psi) ** 2
+    wsum = w.sum(axis=1)
+    mean_z = np.sum(state.z * w, axis=1) / wsum
+    Q = np.sum((state.z - mean_z[:, None]) ** 2 * w, axis=1) / wsum
 
-
-def extract_moments(state: GridState, branch: Branch,
-                    hbar: float) -> Moments:
-    """Position moments by direct sum, momentum moments spectrally."""
-    psi = state.psi(branch)
-    w = np.abs(psi) ** 2
-    wsum = float(np.sum(w))
-    mean_z = float(np.sum(state.z * w) / wsum)
-    Q = float(np.sum((state.z - mean_z) ** 2 * w) / wsum)
-
-    n = psi.size
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dz)
-    phi = np.fft.fft(psi)
-    wk = np.abs(phi) ** 2
-    wk_sum = float(np.sum(wk))
-    mean_p = hbar * float(np.sum(k * wk) / wk_sum)
-    P = float(np.sum((hbar * k - mean_p) ** 2 * wk) / wk_sum)
+    k = 2.0 * np.pi * np.fft.fftfreq(state.z.size, d=state.dz)
+    wk = np.abs(np.fft.fft(state.psi)) ** 2
+    wk_sum = wk.sum(axis=1)
+    mean_p = hbar * (np.sum(k * wk, axis=1) / wk_sum)
+    P = np.sum((hbar * k - mean_p[:, None]) ** 2 * wk, axis=1) / wk_sum
     return Moments(mean_z=mean_z, mean_p=mean_p, Q=Q, P=P)
 
 
-def center_phase(state: GridState, branch: Branch, half_width: int = 3) -> float:
-    """Phase of the branch at its own center: a quadratic fit to the local
-    unwrapped phase around the grid point nearest <z>, evaluated at <z>."""
-    psi = state.psi(branch)
-    w = np.abs(psi) ** 2
-    mean_z = float(np.sum(state.z * w) / np.sum(w))
-    idx = int(round((mean_z - state.z[0]) / state.dz))
-    idx = min(max(idx, half_width), psi.size - half_width - 1)
-    sl = slice(idx - half_width, idx + half_width + 1)
-    local_z = state.z[sl] - mean_z
-    local_phase = np.unwrap(np.angle(psi[sl]))
-    coeffs = np.polyfit(local_z, local_phase, 2)
-    return float(np.polyval(coeffs, 0.0))
+def center_phase(state: GridState, mean_z: np.ndarray,
+                 half_width: int = 3) -> np.ndarray:
+    """Phase of each row at its own center <z> (from extract_moments): a
+    quadratic fit to the local unwrapped phase around the grid point
+    nearest <z>, evaluated at <z>."""
+    phases = []
+    for psi, mz in zip(state.psi, mean_z):
+        idx = int(round((mz - state.z[0]) / state.dz))
+        idx = min(max(idx, half_width), psi.size - half_width - 1)
+        sl = slice(idx - half_width, idx + half_width + 1)
+        coeffs = np.polyfit(state.z[sl] - mz, np.unwrap(np.angle(psi[sl])), 2)
+        phases.append(np.polyval(coeffs, 0.0))
+    return np.array(phases)
 
 
 def _unwrap_difference(raw) -> np.ndarray:
@@ -150,27 +150,25 @@ def _convolution_kernel(z: np.ndarray, sphere: SphereParams,
     return np.array([v_eff(abs(d), sphere, constants) for d in offsets])
 
 
-def _convolve(z: np.ndarray, density: np.ndarray,
-              kernel: np.ndarray) -> np.ndarray:
-    return np.convolve(density * float(z[1] - z[0]), kernel, mode="valid")
-
-
 def self_potential_convolution(z: np.ndarray, density: np.ndarray,
-                               sphere: SphereParams,
-                               constants: ConstantsSet) -> np.ndarray:
+                               kernel: np.ndarray) -> np.ndarray:
     """Full self-potential int rho(z') v_eff(|z - z'|) dz' by direct
-    linear convolution on the grid (np.convolve, O(n^2)).  `density` must
-    integrate to 1."""
-    return _convolve(z, density, _convolution_kernel(z, sphere, constants))
+    linear convolution on the grid (np.convolve, O(n^2)) with the kernel
+    of _convolution_kernel.  `density` must integrate to 1."""
+    return np.convolve(density * float(z[1] - z[0]), kernel, mode="valid")
 
 
 @dataclass
 class GridRun:
-    """Snapshot history of a grid evolution."""
+    """Snapshot history of a grid evolution.
+
+    Branches sit in Branch iteration order, plus then minus: the rows of
+    final_state.psi and the columns of the (n_snapshots, 2) moments
+    fields.  delta_phi is the phase of the plus row minus that of the
+    minus row."""
 
     t: np.ndarray
-    moments_plus: list[Moments]
-    moments_minus: list[Moments]
+    moments: Moments
     delta_phi: np.ndarray          # unwrapped phase difference history
     final_state: GridState
     max_norm_drift: float
@@ -179,18 +177,6 @@ class GridRun:
     @property
     def delta_phi_final(self) -> float:
         return float(self.delta_phi[-1])
-
-    def q_history(self, branch: Branch) -> np.ndarray:
-        ms = self.moments_plus if branch is Branch.PLUS else self.moments_minus
-        return np.array([m.Q for m in ms])
-
-    def mean_z_history(self, branch: Branch) -> np.ndarray:
-        ms = self.moments_plus if branch is Branch.PLUS else self.moments_minus
-        return np.array([m.mean_z for m in ms])
-
-    def mean_p_history(self, branch: Branch) -> np.ndarray:
-        ms = self.moments_plus if branch is Branch.PLUS else self.moments_minus
-        return np.array([m.mean_p for m in ms])
 
 
 def _segment_bounds(config: ExperimentConfig) -> list[float]:
@@ -220,21 +206,23 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 t_end: float | None = None, *,
                 full_convolution: bool = False) -> GridRun:
     """Propagate both branches of `config` from t = 0 to t_end (default
-    T5) and extract moment and phase histories.
+    T5, and 0 < t_end <= T5) and extract moment and phase histories.
 
     Each step is a Strang step: kinetic half-kick exp(-i hbar k^2 dt/4m)
     in spectral space, potential kick at the half step in position space,
-    kinetic half-kick.  Both branches are one (2, N) array, so a step
-    costs one inverse and one forward FFT.  Within a protocol segment the
-    closing half-kick of a step and the opening half-kick of the next are
-    merged into one full kick exp(-i hbar k^2 dt/2m).  A segment opens with
-    a half-kick (dt changes at segment bounds), and a snapshot step (every
-    snapshot_stride-th step and the last step of each segment) closes with
-    one, so health checks, recorded moments and phases all see full-step
-    states; the next step goes on from the same spectrum with the full
-    kick.  Between snapshots the potential needs only <z> and Q, taken
-    from |psi|^2 in position space; the full Moments (with the spectral
-    <p> and P) are computed at snapshots only.
+    kinetic half-kick.  Both branches are one (2, N) array, rows in the
+    order GridRun states, so a step costs one inverse and one forward FFT.
+    Within a protocol segment the closing half-kick of a step and the
+    opening half-kick of the next are merged into one full kick
+    exp(-i hbar k^2 dt/2m).  A segment opens with a half-kick (dt changes
+    at segment bounds), and a snapshot step (every snapshot_stride-th step
+    and the last step of each segment) closes with one, so health checks,
+    recorded moments and phases all see full-step states; the next step
+    goes on from the same spectrum with the full kick.  Between snapshots
+    the potential needs only <z> and Q, taken from |psi|^2 in position
+    space.  One recording routine checks the t = 0 state and every
+    snapshot, takes its full Moments (with the spectral <p> and P) and
+    center phases, and stores them as (n_snapshots, 2) histories.
 
     The potential kick is real arithmetic: the phase theta = -V dt/hbar
     goes into a real buffer and the kick cos(theta) + i sin(theta) into a
@@ -256,13 +244,15 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
 
     if t_end is None:
         t_end = config.protocol.T5
-    state = initial_grid_state(config, spec)
+    if not 0.0 < t_end <= config.protocol.T5:
+        raise ValueError(f"t_end must lie in (0, T5 = {config.protocol.T5}], "
+                         f"got {t_end}")
     if spec.dz > config.initial.sqrt_Q0 / 8.0:
         raise ValueError(
             f"grid too coarse: dz={spec.dz} > sqrt(Q0)/8={config.initial.sqrt_Q0/8}")
 
     k = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.dz)
-    z = state.z
+    z = spec.grid()
     kernel = (_convolution_kernel(z, config.sphere, c)
               if full_convolution else None)
     # Stern-Gerlach energy +-lambda(t) (g mu_B/2) (B0 - B0' z) of the plus
@@ -280,23 +270,21 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     kick = np.empty(shape, dtype=complex)
     kphi = np.empty(shape, dtype=complex)
 
-    times = [0.0]
-    mom_p = [extract_moments(state, Branch.PLUS, hbar)]
-    mom_m = [extract_moments(state, Branch.MINUS, hbar)]
-    raw_diff = [center_phase(state, Branch.PLUS)
-                - center_phase(state, Branch.MINUS)]
+    times: list[float] = []
+    history: list[Moments] = []
+    raw_diff = []
     max_drift = 0.0
     n_steps = 0
 
-    def potential(t_mid: float, mean_z: list[float], Q: list[float],
-                  dens: np.ndarray | None) -> np.ndarray:
+    def potential(t_mid: float, mean_z, Q, dens: np.ndarray | None):
         """(2, N) potential of the plus and minus rows at t_mid, written
-        into v; dens are the (2, N) densities for the convolution."""
+        into v, from each row's <z> and Q; dens are the (2, N) densities
+        for the convolution."""
         d = abs(mean_z[0] - mean_z[1])
         overlap = d <= 2.0 * R
         if full_convolution and overlap and dens is not None:
-            v[:] = _convolve(z, w_pm[0] * dens[0] + w_pm[1] * dens[1],
-                             kernel)
+            v[:] = self_potential_convolution(
+                z, w_pm[0] * dens[0] + w_pm[1] * dens[1], kernel)
         else:
             for row in (0, 1):
                 nu = 1.0 if overlap else math.sqrt(w_pm[row])
@@ -313,8 +301,8 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 np.square(vr, out=vr)
                 vr *= nu2 * curv
                 vr += offset
-        np.multiply(field, lambda_of_t(min(t_mid, config.protocol.T5),
-                                       config.protocol) * sg_half, out=sg)
+        np.multiply(field, lambda_of_t(t_mid, config.protocol) * sg_half,
+                    out=sg)
         v[0] += sg
         v[1] -= sg
         return v
@@ -337,12 +325,20 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                     f"branch {b.name} reached the boundary at t={t}: "
                     f"edge probability {edge:.3e}, <z>={mz:.4e}")
 
-    full = np.stack([state.psi_plus, state.psi_minus])
+    def record(snap: GridState) -> GridState:
+        """Check, measure and store a full-step state."""
+        check_health(snap.psi, snap.t)
+        mom = extract_moments(snap, hbar)
+        phase = center_phase(snap, mom.mean_z)
+        times.append(snap.t)
+        history.append(mom)
+        raw_diff.append(phase[0] - phase[1])
+        return snap
+
+    state = record(initial_grid_state(config, spec))
     bounds = [b for b in _segment_bounds(config) if b < t_end] + [t_end]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        n_sub = max(1, math.ceil((hi - lo) / spec.dt))
+        n_sub = math.ceil((hi - lo) / spec.dt)
         dt = (hi - lo) / n_sub
         kin_half = np.exp(-1j * hbar * k * k * dt / (4.0 * m))
         kin_full = np.exp(-1j * hbar * k * k * dt / (2.0 * m))
@@ -351,8 +347,8 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         # neighboring cells (uniform and linear offsets are harmless).  A
         # segment starts on the last recorded state, so its moments are
         # the last recorded ones.
-        vtest = potential(lo + 0.5 * dt, [mom_p[-1].mean_z, mom_m[-1].mean_z],
-                          [mom_p[-1].Q, mom_m[-1].Q], None)
+        vtest = potential(lo + 0.5 * dt, history[-1].mean_z, history[-1].Q,
+                          None)
         cell_jump = float(np.max(np.abs(np.diff(vtest, axis=1)))) * dt / hbar
         if cell_jump > 0.5 * math.pi:
             raise StepSizeError(
@@ -362,7 +358,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
 
         # phi is the spectrum still owed a kinetic kick: kin_half at the
         # segment start, kin_full (two merged half-kicks) after a step
-        phi = np.fft.fft(full)
+        phi = np.fft.fft(state.psi)
         kin = kin_half
         phase_per_v = -dt / hbar
         for i in range(n_sub):
@@ -385,17 +381,13 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
             n_steps += 1
             if n_steps % spec.snapshot_stride == 0 or i == n_sub - 1:
                 np.multiply(kin_half, phi, out=kphi)
-                full = np.fft.ifft(kphi)
-                state.psi_plus, state.psi_minus = full[0], full[1]
-                state.t = t0 + dt
-                check_health(full, state.t)
-                times.append(state.t)
-                mom_p.append(extract_moments(state, Branch.PLUS, hbar))
-                mom_m.append(extract_moments(state, Branch.MINUS, hbar))
-                raw_diff.append(center_phase(state, Branch.PLUS)
-                                - center_phase(state, Branch.MINUS))
+                state = record(GridState(z=z, dz=spec.dz,
+                                         psi=np.fft.ifft(kphi), t=t0 + dt))
 
-    return GridRun(t=np.asarray(times), moments_plus=mom_p, moments_minus=mom_m,
+    # one (n_snapshots, 2) array per Moments field
+    moments = Moments(*(np.array(col) for col in zip(
+        *(vars(mom).values() for mom in history))))
+    return GridRun(t=np.asarray(times), moments=moments,
                    delta_phi=_unwrap_difference(raw_diff), final_state=state,
                    max_norm_drift=max_drift, n_steps=n_steps)
 

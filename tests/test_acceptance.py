@@ -152,12 +152,9 @@ def test_criterion_10_oracle_cross_check():
     elapsed = time.perf_counter() - start
     closed = PhasePipeline(cfg).delta_phi()
     rel_phi = abs(run.delta_phi_final - closed) / abs(closed)
-    worst_q = 0.0
-    for b in Branch:
-        ab = AnalyticBranch(cfg, b)
-        q_ref = np.array([ab.q(t) for t in run.t])
-        worst_q = max(worst_q, float(np.max(
-            np.abs(run.q_history(b) - q_ref) / q_ref)))
+    branches = [AnalyticBranch(cfg, b) for b in Branch]
+    q_ref = np.array([[ab.q(t) for ab in branches] for t in run.t])
+    worst_q = float(np.max(np.abs(run.moments.Q - q_ref) / q_ref))
     ok = (abs(w_t5 - 0.3) < 0.05 and spec.n == 4096
           and rel_phi <= 1e-2 and worst_q <= 1e-4 and elapsed < 120.0)
     verdict(10, f"scaled run (omega_s T5={w_t5:.2f}, N={spec.n}): "
@@ -196,8 +193,8 @@ def test_criterion_12_free_spreading_limit():
     m = cfg.sphere.mass
     hbar = cfg.constants.hbar
     law = Q0 * (1.0 + (hbar * run.t / (2.0 * m * Q0)) ** 2)
-    worst_grid = max(float(np.max(np.abs(run.q_history(b) - law) / law))
-                     for b in Branch)
+    worst_grid = float(np.max(np.abs(run.moments.Q - law[:, None])
+                              / law[:, None]))
     worst_closed = max(abs(spread_Q(float(t), 1.0, cfg) - ref) / ref
                        for t, ref in zip(run.t, law))
     ok = worst_grid <= 1e-6 and worst_closed <= 1e-12

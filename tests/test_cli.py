@@ -2,12 +2,16 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sgphase.cli
 from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VALIDATION, build_id, compare, main,
                          run_scenario)
-from sgphase.params import ConstantsSet, baseline_config
+from sgphase.gaussian import AnalyticBranch
+from sgphase.oracle import GridSpec, evolve_grid, scaled_config
+from sgphase.params import Branch, ConstantsSet, baseline_config
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "sgphase" / "data" \
     / "baseline.expectations"
@@ -195,3 +199,42 @@ class TestBuildId:
         cfg_file.write_text("sphere.mass_kg = 1e-15\n")
         assert main(["oracle-compare", "--config", str(cfg_file),
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
+class TestOracleCompare:
+    def test_csv_and_summary_follow_the_run(self, tmp_path, monkeypatch):
+        # a small grid through the real CLI path; the run it makes is
+        # captured so the artefacts can be checked against it
+        small = GridSpec(n=2048, z_min=-32.0, z_max=32.0, dt=1e-3,
+                         snapshot_stride=100)
+        monkeypatch.setattr(sgphase.cli, "scaled_grid_spec", lambda: small)
+        runs = []
+
+        def capture(*args, **kwargs):
+            runs.append(evolve_grid(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(sgphase.cli, "evolve_grid", capture)
+        out = tmp_path / "o"
+        assert main(["oracle-compare", "--out", str(out)]) == EXIT_OK
+        (run,) = runs
+        lines = (out / "oracle_compare.csv").read_text().splitlines()
+        assert lines[0] == ("t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,"
+                            "Q_minus_closed,delta_phi_grid")
+        assert len(lines) == 1 + len(run.t)
+        table = np.array([[float(x) for x in line.split(",")]
+                          for line in lines[1:]])
+        np.testing.assert_array_equal(table[:, 0], run.t)
+        q_grid, q_closed = table[:, [1, 3]], table[:, [2, 4]]
+        np.testing.assert_array_equal(q_grid, run.moments.Q)
+        cfg = scaled_config()
+        for col, b in enumerate(Branch):
+            ab = AnalyticBranch(cfg, b)
+            np.testing.assert_array_equal(q_closed[:, col],
+                                          [ab.q(t) for t in run.t])
+        np.testing.assert_array_equal(table[:, 5], run.delta_phi)
+        results = read_summary(out)["results"]
+        assert results["grid_points"] == small.n
+        assert results["n_steps"] == run.n_steps
+        assert results["max_Q_rel_error"] == float(
+            np.max(np.abs(q_grid - q_closed) / q_closed))

@@ -8,10 +8,11 @@ import pytest
 
 import sgphase.oracle
 from sgphase.gaussian import AnalyticBranch, spread_Q
-from sgphase.oracle import (GridEscapeError, GridSpec, PhaseUnwrapError,
-                            StepSizeError, _segment_bounds, center_phase,
-                            evolve_grid, extract_moments, initial_grid_state,
-                            norm_sq, scaled_config,
+from sgphase.oracle import (GridEscapeError, GridSpec, Moments,
+                            PhaseUnwrapError, StepSizeError,
+                            _convolution_kernel, _segment_bounds,
+                            center_phase, evolve_grid, extract_moments,
+                            initial_grid_state, scaled_config,
                             self_potential_convolution)
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
@@ -44,34 +45,67 @@ def no_gradient(config, B0=0.0):
                                             B0_grad=0.0))
 
 
+def shifted_boosted_state(config, spec, a=3.0, k0=5.0):
+    """Initial state with the plus row moved by a and boosted by hbar k0;
+    the minus row stays the ground state."""
+    state = initial_grid_state(config, spec)
+    psi = np.exp(-(state.z - a) ** 2 / (4.0 * config.initial.Q0)
+                 + 1j * k0 * state.z)
+    state.psi[0] = psi / math.sqrt(np.sum(np.abs(psi) ** 2) * state.dz)
+    return state
+
+
+def assert_moments_equal(a, b):
+    for name in vars(a):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestMoments:
     def test_initial_gaussian(self, scaled, spec_small):
         state = initial_grid_state(scaled, spec_small)
-        m = extract_moments(state, Branch.PLUS, scaled.constants.hbar)
+        m = extract_moments(state, scaled.constants.hbar)
         hbar = scaled.constants.hbar
         Q0 = scaled.initial.Q0
-        assert m.mean_z == pytest.approx(0.0, abs=1e-12)
-        assert m.mean_p == pytest.approx(0.0, abs=1e-12)
-        assert m.Q == pytest.approx(Q0, rel=1e-9)
-        assert m.P == pytest.approx(hbar**2 / (4 * Q0), rel=1e-9)
-        assert m.Q * m.P >= hbar**2 / 4.0 * (1.0 - 1e-6)
+        np.testing.assert_allclose(m.mean_z, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.mean_p, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.Q, Q0, rtol=1e-9)
+        np.testing.assert_allclose(m.P, hbar**2 / (4 * Q0), rtol=1e-9)
+        assert np.all(m.Q * m.P >= hbar**2 / 4.0 * (1.0 - 1e-6))
 
     def test_translation_covariance(self, scaled, spec_small):
-        state = initial_grid_state(scaled, spec_small)
         a = 3.0
-        state.psi_plus = np.exp(-(state.z - a) ** 2
-                                / (4.0 * scaled.initial.Q0)).astype(complex)
-        state.psi_plus /= math.sqrt(norm_sq(state, Branch.PLUS))
-        m = extract_moments(state, Branch.PLUS, scaled.constants.hbar)
-        assert m.mean_z == pytest.approx(a, rel=1e-9)
-        assert m.Q == pytest.approx(scaled.initial.Q0, rel=1e-9)
+        state = shifted_boosted_state(scaled, spec_small, a=a, k0=0.0)
+        m = extract_moments(state, scaled.constants.hbar)
+        assert m.mean_z[0] == pytest.approx(a, rel=1e-9)
+        assert m.Q[0] == pytest.approx(scaled.initial.Q0, rel=1e-9)
+        assert abs(m.mean_z[1]) < 1e-12  # the minus row stays put
 
     def test_boost_covariance(self, scaled, spec_small):
-        state = initial_grid_state(scaled, spec_small)
         k0 = 5.0
-        state.psi_plus = state.psi_plus * np.exp(1j * k0 * state.z)
-        m = extract_moments(state, Branch.PLUS, scaled.constants.hbar)
-        assert m.mean_p == pytest.approx(scaled.constants.hbar * k0, rel=1e-9)
+        state = shifted_boosted_state(scaled, spec_small, a=0.0, k0=k0)
+        m = extract_moments(state, scaled.constants.hbar)
+        assert m.mean_p[0] == pytest.approx(scaled.constants.hbar * k0,
+                                            rel=1e-9)
+        assert abs(m.mean_p[1]) < 1e-12
+
+    def test_rows_are_independent(self, scaled, spec_small):
+        # swapping the rows of a state swaps every per-branch result
+        # bitwise, and a row's results do not move when the other row
+        # changes: no row's moments or phase depend on the other row
+        state = shifted_boosted_state(scaled, spec_small)
+        swapped = replace(state, psi=state.psi[::-1].copy())
+        hbar = scaled.constants.hbar
+        m, ms = extract_moments(state, hbar), extract_moments(swapped, hbar)
+        assert m.mean_z[0] != m.mean_z[1] and m.mean_p[0] != m.mean_p[1]
+        assert_moments_equal(ms, Moments(*(f[::-1] for f in vars(m).values())))
+        phase = center_phase(state, m.mean_z)
+        np.testing.assert_array_equal(center_phase(swapped, ms.mean_z),
+                                      phase[::-1])
+        twin = replace(state, psi=np.stack([state.psi[0], state.psi[0]]))
+        mt = extract_moments(twin, hbar)
+        assert_moments_equal(Moments(*(f[:1] for f in vars(mt).values())),
+                             Moments(*(f[:1] for f in vars(m).values())))
+        assert center_phase(twin, mt.mean_z)[0] == phase[0]
 
 
 class TestFreeSpreading:
@@ -82,9 +116,8 @@ class TestFreeSpreading:
         m = cfg.sphere.mass
         Q0 = cfg.initial.Q0
         law = Q0 * (1.0 + (hbar * run.t / (2 * m * Q0)) ** 2)
-        for b in Branch:
-            rel = np.abs(run.q_history(b) - law) / law
-            assert float(rel.max()) < 1e-6
+        rel = np.abs(run.moments.Q - law[:, None]) / law[:, None]
+        assert float(rel.max()) < 1e-6
 
     def test_symmetric_null_phase(self, scaled, spec_small):
         cfg = replace(no_gravity(scaled), weights=SpinWeights(0.5, 0.5))
@@ -100,10 +133,9 @@ class TestHarmonicOnly:
     def test_width_matches_closed_form(self, scaled, spec_small):
         # co-located packets (d = 0 <= 2R) keep nu = 1 throughout
         run = evolve_grid(no_gradient(scaled), spec_small)
-        q_ref = np.array([spread_Q(t, 1.0, scaled) for t in run.t])
-        for b in Branch:
-            rel = np.abs(run.q_history(b) - q_ref) / q_ref
-            assert float(rel.max()) < 1e-6
+        q_ref = np.array([spread_Q(t, 1.0, scaled) for t in run.t])[:, None]
+        rel = np.abs(run.moments.Q - q_ref) / q_ref
+        assert float(rel.max()) < 1e-6
 
 
 class TestEhrenfest:
@@ -115,9 +147,9 @@ class TestEhrenfest:
                           for t in run.t])
         z_scale = float(np.abs(z_ref).max())
         p_scale = float(np.abs(p_ref).max())
-        assert np.abs(run.mean_z_history(Branch.PLUS) - z_ref).max() \
+        assert np.abs(run.moments.mean_z[:, 0] - z_ref).max() \
             < 1e-4 * z_scale
-        assert np.abs(run.mean_p_history(Branch.PLUS) - p_ref).max() \
+        assert np.abs(run.moments.mean_p[:, 0] - p_ref).max() \
             < 1e-4 * p_scale
 
 
@@ -156,11 +188,10 @@ class TestScaledCrossCheck:
         run = evolve_grid(scaled, spec)
         closed = PhasePipeline(scaled).delta_phi()
         assert run.delta_phi_final == pytest.approx(closed, rel=1e-2)
-        branches = {b: AnalyticBranch(scaled, b) for b in Branch}
-        for b in Branch:
-            q_ref = np.array([branches[b].q(t) for t in run.t])
-            rel = np.abs(run.q_history(b) - q_ref) / q_ref
-            assert float(rel.max()) < 1e-4
+        branches = [AnalyticBranch(scaled, b) for b in Branch]
+        q_ref = np.array([[ab.q(t) for ab in branches] for t in run.t])
+        rel = np.abs(run.moments.Q - q_ref) / q_ref
+        assert float(rel.max()) < 1e-4
 
     def test_second_order_convergence(self, scaled):
         closed = PhasePipeline(scaled).delta_phi()
@@ -187,16 +218,14 @@ class TestRegressionPin:
         assert len(run.t) == 28
         assert run.delta_phi_final == pytest.approx(-0.09194534262907927,
                                                     abs=1e-10)
-        assert run.q_history(Branch.PLUS)[-1] == pytest.approx(
-            1.9406865797488986, rel=1e-11)
-        assert run.q_history(Branch.MINUS)[-1] == pytest.approx(
-            1.911685184979211, rel=1e-11)
+        assert run.moments.Q[-1, 0] == pytest.approx(1.9406865797488986,
+                                                     rel=1e-11)
+        assert run.moments.Q[-1, 1] == pytest.approx(1.911685184979211,
+                                                     rel=1e-11)
         # the returned state is the full-step state the last moments saw
-        hbar = scaled.constants.hbar
-        assert extract_moments(run.final_state, Branch.PLUS, hbar) \
-            == run.moments_plus[-1]
-        assert extract_moments(run.final_state, Branch.MINUS, hbar) \
-            == run.moments_minus[-1]
+        last = Moments(*(f[-1] for f in vars(run.moments).values()))
+        assert_moments_equal(
+            extract_moments(run.final_state, scaled.constants.hbar), last)
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_stop_at_segment_bound_is_prefix(self, scaled, spec_small, bound):
@@ -209,12 +238,9 @@ class TestRegressionPin:
         n = len(head.t)
         assert head.t[-1] == t_end
         np.testing.assert_array_equal(head.t, full.t[:n])
-        for b in Branch:
-            np.testing.assert_array_equal(head.q_history(b),
-                                          full.q_history(b)[:n])
         np.testing.assert_array_equal(head.delta_phi, full.delta_phi[:n])
-        assert head.moments_plus[-1] == full.moments_plus[n - 1]
-        assert head.moments_minus[-1] == full.moments_minus[n - 1]
+        assert_moments_equal(head.moments, Moments(
+            *(f[:n] for f in vars(full.moments).values())))
 
 
 class TestCrossTermRouting:
@@ -230,9 +256,9 @@ class TestCrossTermRouting:
         q_plus_ref = np.array([spread_Q(t, 1.0, cfg) for t in run.t])
         minus_ref = AnalyticBranch(cfg, Branch.MINUS)
         q_minus_ref = np.array([minus_ref.q(t) for t in run.t])
-        assert float((np.abs(run.q_history(Branch.PLUS) - q_plus_ref)
+        assert float((np.abs(run.moments.Q[:, 0] - q_plus_ref)
                       / q_plus_ref).max()) < 1e-4
-        assert float((np.abs(run.q_history(Branch.MINUS) - q_minus_ref)
+        assert float((np.abs(run.moments.Q[:, 1] - q_minus_ref)
                       / q_minus_ref).max()) < 1e-4
         # the piecewise minus reference really is free while separated
         assert [iv.nu for iv in minus_ref.intervals] == [1.0, 0.0, 1.0]
@@ -258,6 +284,22 @@ class TestGuards:
         spec = GridSpec(n=64, z_min=-32.0, z_max=32.0, dt=1e-3)
         with pytest.raises(ValueError, match="too coarse"):
             evolve_grid(scaled, spec)
+
+    @pytest.mark.parametrize("spec_kw, t_end_over_T5", [
+        ({}, 2.0),                  # past recombination, lambda frozen
+        ({}, -0.5),                 # would be a 0-step run
+        ({"dt": 0.0}, None),
+        ({"dt": -1e-3}, 0.25),      # would take one step per segment
+        ({"dt": math.inf}, None),
+        ({"snapshot_stride": 0}, None),
+    ], ids=["past-T5", "negative-t_end", "zero-dt", "negative-dt",
+            "infinite-dt", "zero-stride"])
+    def test_invalid_run_rejected(self, scaled, spec_small, spec_kw,
+                                  t_end_over_T5):
+        t_end = (None if t_end_over_T5 is None
+                 else t_end_over_T5 * scaled.protocol.T5)
+        with pytest.raises(ValueError, match="must"):
+            evolve_grid(scaled, replace(spec_small, **spec_kw), t_end=t_end)
 
 
 def overlap_config():
@@ -285,7 +327,8 @@ class TestConvolutionMode:
         sq = 0.04  # width well under R = 5
         dens = np.exp(-(z**2) / (2 * sq * sq))
         dens /= dens.sum() * (z[1] - z[0])
-        v = self_potential_convolution(z, dens, sphere, c)
+        v = self_potential_convolution(z, dens,
+                                       _convolution_kernel(z, sphere, c))
         w = omega_s(sphere, c)
         m = sphere.mass
         center = n // 2
@@ -309,8 +352,8 @@ class TestConvolutionMode:
         base = evolve_grid(no_gradient(cfg), spec, t_end=1.0)
         conv = evolve_grid(no_gradient(cfg), spec, t_end=1.0,
                            full_convolution=True)
-        q_b = base.q_history(Branch.PLUS)
-        q_c = conv.q_history(Branch.PLUS)
+        q_b = base.moments.Q[:, 0]
+        q_c = conv.moments.Q[:, 0]
         # the residual is the real cubic-kernel correction: curvature softer
         # by (9/8)<|s|>/R ~ 2%, entering the width at order (omega t)^2
         w = omega_s(cfg.sphere, cfg.constants)
@@ -326,10 +369,11 @@ class TestCenterPhase:
     def test_reads_quadratic_phase_at_center(self, scaled, spec_small):
         state = initial_grid_state(scaled, spec_small)
         phi0, k0, curv = 0.7, 2.0, 0.3
-        state.psi_plus = state.psi_plus * np.exp(
-            1j * (phi0 + k0 * state.z + curv * state.z**2))
-        assert center_phase(state, Branch.PLUS) == pytest.approx(phi0,
-                                                                 abs=1e-9)
+        state.psi[0] *= np.exp(1j * (phi0 + k0 * state.z + curv * state.z**2))
+        phase = center_phase(
+            state, extract_moments(state, scaled.constants.hbar).mean_z)
+        assert phase[0] == pytest.approx(phi0, abs=1e-9)
+        assert phase[1] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestIndependence:
