@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gaussian import AnalyticBranch, IntegrationError
+from .gaussian import IntegrationError
 from .oracle import (GridEscapeError, PhaseUnwrapError, StepSizeError,
                      evolve_grid, scaled_config, scaled_grid_spec)
-from .params import (Branch, ExperimentConfig, baseline_config,
+from .params import (ExperimentConfig, baseline_config,
                      config_to_mapping, get_constants, load_config,
                      separation_time, short_protocol_config, validate)
 from .params import omega_s as omega_s_of
@@ -161,8 +161,8 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
     closed = pipe.breakdown().delta_phi
     run = evolve_grid(cfg, spec)
     # (n, 2) histories, columns plus and minus as in run.moments
-    branches = [AnalyticBranch(cfg, b) for b in Branch]
-    q_closed = np.array([[ab.q(t) for ab in branches] for t in run.t])
+    q_closed = np.array([[ab.q(t) for ab in pipe.branches.values()]
+                         for t in run.t])
     q_grid = run.moments.Q
     with open(out / "oracle_compare.csv", "w") as f:
         f.write("t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,Q_minus_closed,"

@@ -10,7 +10,9 @@ degenerates smoothly to the free-packet law as omega_s -> 0.
 
 The piecewise regime structure (packet overlap vs separation, optional
 nuclear pulsation boost) is handled by chaining the closed form across
-regime intervals with A continuous at every switch.
+regime intervals with A continuous at every switch.  The separation
+window comes in as an argument (`trajectories.separation_window` of the
+config's trajectory), so this module needs nothing from the means.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .params import Branch, ExperimentConfig
 from .params import omega_s as omega_s_of
 from .potential import NUCLEON_SCALE, effective_omega_s
-from .trajectories import separation_window
 
 
 class IntegrationError(RuntimeError):
@@ -100,23 +101,6 @@ def spread_P(t: float, nu: float, config: ExperimentConfig) -> float:
     return P0 * c * c + (m * w * nu) ** 2 * Q0 * s * s
 
 
-def width_difference(t: float, config: ExperimentConfig) -> float:
-    """Quadratic-order width split D(t) = sqrt(Q_-) - sqrt(Q_+)
-    = (sqrt(Q0)/2)(1 - 2 |beta_-|^2)(omega_s t)^2 (m)."""
-    w = omega_s_of(config.sphere, config.constants)
-    wt = w * t
-    return 0.5 * config.initial.sqrt_Q0 * (
-        1.0 - 2.0 * config.weights.beta_minus_sq) * wt * wt
-
-
-def width_difference_exact(t: float, config: ExperimentConfig) -> float:
-    """Exact sqrt(Q_-) - sqrt(Q_+) from the closed-form spreads at the
-    separated-regime weights (m)."""
-    nu_p = config.weights.beta(Branch.PLUS)
-    nu_m = config.weights.beta(Branch.MINUS)
-    return math.sqrt(spread_Q(t, nu_m, config)) - math.sqrt(spread_Q(t, nu_p, config))
-
-
 # ---------------------------------------------------------------------------
 # segment integral kernels (feed the phase module)
 
@@ -164,13 +148,16 @@ def integral_q(A0: complex, nu: float, omega: float, mass: float,
 
 @dataclass(frozen=True)
 class RegimeInterval:
-    """Maximal interval over which a branch sees constant (nu, omega)."""
+    """Maximal interval over which a branch sees constant (nu, omega),
+    with int dt/Q (s/m^2) and int Q dt (m^2 s) over the whole of it."""
 
     t_lo: float
     t_hi: float
     nu: float
     omega: float
     A_start: complex
+    inv_q_integral: float
+    q_integral: float
 
 
 def _nuclear_crossing(A0: complex, nu: float, omega: float, mass: float,
@@ -202,12 +189,13 @@ def _nuclear_crossing(A0: complex, nu: float, omega: float, mass: float,
     return hi
 
 
-def regime_intervals(config: ExperimentConfig,
-                     branch: Branch) -> tuple[RegimeInterval, ...]:
+def regime_intervals(config: ExperimentConfig, branch: Branch,
+                     window: tuple[float, float] | None
+                     ) -> tuple[RegimeInterval, ...]:
     """Split [0, T5] into constant-(nu, omega) intervals for one branch and
-    carry A across every switch (A is continuous; only its ODE changes)."""
+    carry A across every switch (A is continuous; only its ODE changes).
+    `window` is the config's separation window (None: never separated)."""
     T5 = config.protocol.T5
-    window = separation_window(config)
     if window is None:
         nu_bounds = [(0.0, T5, 1.0)]
     else:
@@ -234,20 +222,24 @@ def regime_intervals(config: ExperimentConfig,
                 cross = _nuclear_crossing(A, nu, w, m, hbar, t, hi)
                 if cross is not None:
                     t_next = cross
-            out.append(RegimeInterval(t_lo=t, t_hi=t_next, nu=nu, omega=w,
-                                      A_start=A))
-            A = propagate_a(A, nu, w, m, hbar, t_next - t)
+            tau = t_next - t
+            out.append(RegimeInterval(
+                t_lo=t, t_hi=t_next, nu=nu, omega=w, A_start=A,
+                inv_q_integral=integral_inv_q(A, nu, w, m, hbar, tau),
+                q_integral=integral_q(A, nu, w, m, hbar, tau)))
+            A = propagate_a(A, nu, w, m, hbar, tau)
             t = t_next
     return tuple(out)
 
 
 class AnalyticBranch:
-    """Closed-form width evolution of one branch across all regimes."""
+    """Closed-form width evolution of one branch across all regimes;
+    `window` as for `regime_intervals`."""
 
-    def __init__(self, config: ExperimentConfig, branch: Branch):
+    def __init__(self, config: ExperimentConfig, branch: Branch,
+                 window: tuple[float, float] | None):
         self.config = config
-        self.branch = branch
-        self.intervals = regime_intervals(config, branch)
+        self.intervals = regime_intervals(config, branch, window)
         self._starts = [iv.t_lo for iv in self.intervals]
 
     def _interval(self, t: float) -> RegimeInterval:
@@ -265,10 +257,7 @@ class AnalyticBranch:
         return propagate_a(iv.A_start, iv.nu, iv.omega, self.config.sphere.mass,
                            self.config.constants.hbar, t - iv.t_lo)
 
-    def moments(self, t: float) -> tuple[float, float, float]:
-        """(Q, P, sigma_zp) at time t."""
-        return moments_from_a(self.a(t), self.config.sphere.mass,
-                              self.config.constants.hbar)
-
     def q(self, t: float) -> float:
-        return self.moments(t)[0]
+        """Position variance Q(t) (m^2)."""
+        return moments_from_a(self.a(t), self.config.sphere.mass,
+                              self.config.constants.hbar)[0]

@@ -32,7 +32,7 @@ import numpy as np
 from .params import Branch, ConstantsSet, ExperimentConfig, InitialState, \
     Protocol, SphereParams, SpinWeights
 from .potential import effective_omega_s, v_eff
-from .trajectories import lambda_of_t, separation_window
+from .trajectories import lambda_of_t, protocol_segments, separation_window
 
 
 class GridEscapeError(RuntimeError):
@@ -56,6 +56,12 @@ class GridSpec:
     snapshot_stride: int = 40
 
     def __post_init__(self):
+        # check_health reads four edge cells on each side
+        if self.n < 8:
+            raise ValueError(f"n must be >= 8, got {self.n}")
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError(f"z_min and z_max must be finite with z_min "
+                             f"< z_max, got [{self.z_min}, {self.z_max}]")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.snapshot_stride < 1:
@@ -181,7 +187,7 @@ class GridRun:
 
 def _segment_bounds(config: ExperimentConfig) -> list[float]:
     pts = {0.0, *config.protocol.times}
-    window = separation_window(config)
+    window = separation_window(protocol_segments(config))
     if window is not None:
         pts.update(window)
     return sorted(p for p in pts if 0.0 <= p <= config.protocol.T5)

@@ -30,10 +30,6 @@ class Branch(enum.Enum):
     def sign(self) -> float:
         return float(self.value)
 
-    @property
-    def other(self) -> "Branch":
-        return Branch.MINUS if self is Branch.PLUS else Branch.PLUS
-
 
 @dataclass(frozen=True)
 class ConstantsSet:
@@ -103,9 +99,6 @@ class SpinWeights:
 
     def beta(self, branch: Branch) -> float:
         return math.sqrt(self.beta_sq(branch))
-
-    def swapped(self) -> "SpinWeights":
-        return SpinWeights(self.beta_minus_sq, self.beta_plus_sq)
 
 
 @dataclass(frozen=True)

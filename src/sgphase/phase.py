@@ -26,9 +26,8 @@ from .gaussian import (AnalyticBranch, IntegrationError, integral_inv_q,
                        integral_q, regime_intervals)
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
                      require_valid, separation_time)
-from .trajectories import (branch_distance, classical_phase, gradient_force,
-                           lambda_integral, mean_state, protocol_segments,
-                           separation_window)
+from .trajectories import (branch_distance, classical_action, lambda_integral,
+                           mean_state, protocol_segments, separation_window)
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,6 @@ class BranchPhase:
         """int F_Q dt / hbar."""
         return self.i1 + self.i2 + self.const_self + self.newton_cross
 
-    @property
-    def total(self) -> float:
-        return (self.boundary_zp + self.boundary_width + self.classical
-                - self.quantum_integral)
-
 
 @dataclass(frozen=True)
 class PhaseBreakdown:
@@ -80,9 +74,6 @@ class PhaseBreakdown:
     newton_diff: float
     classical_diff: float
     boundary_diff: float
-
-    def branch(self, branch: Branch) -> BranchPhase:
-        return self.plus if branch is Branch.PLUS else self.minus
 
 
 def _inv_quadratic_integral(c0: float, c1: float, c2: float,
@@ -118,14 +109,19 @@ def _inv_quadratic_integral(c0: float, c1: float, c2: float,
 
 
 class PhasePipeline:
-    """Closed-form phase evaluation with all regime bookkeeping precomputed."""
+    """Closed-form phase evaluation of one config.
+
+    The trajectory, the separation window and each branch's regime
+    intervals are built once here; every later evaluation only reads them.
+    """
 
     def __init__(self, config: ExperimentConfig):
         require_valid(config)
         self.config = config
-        self.segments = protocol_segments(config)
-        self.window = separation_window(config)
-        self.branches = {b: AnalyticBranch(config, b) for b in Branch}
+        self.trajectory = protocol_segments(config)
+        self.window = separation_window(self.trajectory)
+        self.branches = {b: AnalyticBranch(config, b, self.window)
+                         for b in Branch}
         c = config.constants
         s = config.sphere
         self._const_rate = 1.2 * c.G * s.mass**2 / (c.hbar * s.radius)
@@ -147,35 +143,45 @@ class PhasePipeline:
                - 1.2 * c.G * m * m / self.config.sphere.radius * iv.nu**2)
         if iv.nu < 1.0 and c.G != 0.0:
             val -= ((1.0 - iv.nu**2) * c.G * m * m
-                    / branch_distance(t, self.config))
+                    / branch_distance(t, self.trajectory))
         return val
 
     def _interval_sums(self, branch: Branch,
                        t: float) -> tuple[float, float, float]:
         """(i1, i2, const_self) of one branch up to t, from one walk over
-        its regime intervals."""
+        its regime intervals; a whole interval adds its stored integrals."""
+        m, hbar = self._mass, self._hbar
         i1 = i2 = const = 0.0
         for iv in self.branches[branch].intervals:
             if t <= iv.t_lo:
                 break
-            tau = min(t, iv.t_hi) - iv.t_lo
-            i1 += integral_inv_q(iv.A_start, iv.nu, iv.omega, self._mass,
-                                 self._hbar, tau)
-            coeff = 0.5 * self._mass * iv.omega**2 * iv.nu**2 / self._hbar
-            i2 += coeff * integral_q(iv.A_start, iv.nu, iv.omega,
-                                     self._mass, self._hbar, tau)
-            const += iv.nu**2 * tau
-        return (0.25 * self._hbar / self._mass * i1, i2,
-                -self._const_rate * const)
+            if t >= iv.t_hi:
+                inv_q, q = iv.inv_q_integral, iv.q_integral
+            else:
+                tau = t - iv.t_lo
+                inv_q = integral_inv_q(iv.A_start, iv.nu, iv.omega, m, hbar,
+                                       tau)
+                q = integral_q(iv.A_start, iv.nu, iv.omega, m, hbar, tau)
+            i1 += inv_q
+            i2 += 0.5 * m * iv.omega**2 * iv.nu**2 / hbar * q
+            const += iv.nu**2 * (min(t, iv.t_hi) - iv.t_lo)
+        return (0.25 * hbar / m * i1, i2, -self._const_rate * const)
 
-    def _inv_d_integral(self, t_lo: float, t_hi: float) -> float:
-        """int dt / d(t) over [t_lo, t_hi] with d from the piecewise
-        quadratic trajectory (s/m)."""
+    def _separated_inv_d(self, t: float) -> float | None:
+        """int dt / d over the separated part of [0, t] (s/m), with d from
+        the piecewise quadratic trajectory; shared by both branches'
+        Newton terms, None when there is no Newton term."""
+        if self.window is None or self._newton_scale == 0.0:
+            return None
+        w0, w1 = self.window
+        t_hi = min(t, w1)
+        if t_hi <= w0:
+            return None
         m = self._mass
-        F = gradient_force(self.config)
+        F = self.trajectory.F
         total = 0.0
-        for seg in self.segments:
-            lo = max(t_lo, seg.t_lo)
+        for seg in self.trajectory.segments:
+            lo = max(w0, seg.t_lo)
             hi = min(t_hi, seg.t_hi)
             if hi <= lo:
                 continue
@@ -187,33 +193,7 @@ class PhasePipeline:
                                              lo - seg.t_lo, hi - seg.t_lo)
         return total
 
-    def _newton(self, branch: Branch, t: float) -> float:
-        if self.window is None or self._newton_scale == 0.0:
-            return 0.0
-        w0, w1 = self.window
-        hi = min(t, w1)
-        if hi <= w0:
-            return 0.0
-        nu = self.config.weights.beta(branch)
-        return -self._newton_scale * (1.0 - nu * nu) * self._inv_d_integral(w0, hi)
-
     # -- assembly ------------------------------------------------------------
-
-    def branch_phase(self, branch: Branch, t: float | None = None) -> BranchPhase:
-        if t is None:
-            t = self.config.protocol.T5
-        ms = mean_state(branch, t, self.config)
-        A = self.branches[branch].a(t)
-        i1, i2, const_self = self._interval_sums(branch, t)
-        return BranchPhase(
-            boundary_zp=-ms.mean_z * ms.mean_p / self._hbar,
-            boundary_width=-0.5 * ms.mean_z**2 * A.imag,
-            classical=classical_phase(branch, self.config, t),
-            i1=i1,
-            i2=i2,
-            const_self=const_self,
-            newton_cross=self._newton(branch, t),
-        )
 
     def breakdown(self, t: float | None = None) -> PhaseBreakdown:
         """Per-branch terms and their differences at t (default T5).
@@ -221,14 +201,33 @@ class PhasePipeline:
         Raises FloatingPointError when delta_phi is not finite."""
         if t is None:
             t = self.config.protocol.T5
-        plus = self.branch_phase(Branch.PLUS, t)
-        minus = self.branch_phase(Branch.MINUS, t)
-        # boundary <z><p> is identical for both branches (sign squared);
+        # the branch means are mirror images, so both branches share
+        # <z><p>, <z>^2 and the inter-branch distance; each term that
+        # depends on them is evaluated once
+        z, p = mean_state(Branch.PLUS, t, self.trajectory)
+        boundary_zp = -z * p / self._hbar
+        z_sq = z**2
+        inv_d = self._separated_inv_d(t)
+        im_a = {}
+        phases = {}
+        for b in Branch:
+            im_a[b] = self.branches[b].a(t).imag
+            i1, i2, const_self = self._interval_sums(b, t)
+            nu = self.config.weights.beta(b)
+            action = classical_action(b, self.trajectory, t)
+            phases[b] = BranchPhase(
+                boundary_zp=boundary_zp,
+                boundary_width=-0.5 * z_sq * im_a[b],
+                classical=action / self._hbar,
+                i1=i1,
+                i2=i2,
+                const_self=const_self,
+                newton_cross=(0.0 if inv_d is None else
+                              -self._newton_scale * (1.0 - nu * nu) * inv_d),
+            )
+        plus, minus = phases[Branch.PLUS], phases[Branch.MINUS]
         # the width boundary term differs only through Im A
-        z_sq = mean_state(Branch.PLUS, t, self.config).mean_z ** 2
-        da_im = (self.branches[Branch.PLUS].a(t).imag
-                 - self.branches[Branch.MINUS].a(t).imag)
-        boundary_diff = -0.5 * z_sq * da_im
+        boundary_diff = -0.5 * z_sq * (im_a[Branch.PLUS] - im_a[Branch.MINUS])
         # only the uniform-field part of the action is branch-asymmetric
         c = self.config.constants
         classical_diff = -(c.g_factor * c.mu_B * self.config.protocol.B0
@@ -367,12 +366,14 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
     hbar = c.hbar
     G = c.G
     R = config.sphere.radius
-    reg = {b: regime_intervals(config, b) for b in Branch}
+    traj = protocol_segments(config)
+    window = separation_window(traj)
+    reg = {b: regime_intervals(config, b, window) for b in Branch}
     A0 = 0.5 / config.initial.Q0
 
     bounds = sorted({0.0, config.protocol.T5,
                      *(iv.t_hi for b in Branch for iv in reg[b]),
-                     *(s.t_hi for s in protocol_segments(config))})
+                     *(s.t_hi for s in traj.segments)})
     bounds = [b for b in bounds if 0.0 <= b <= config.protocol.T5]
 
     def params_at(branch: Branch, t: float) -> tuple[float, float]:
@@ -395,7 +396,7 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
                   - 1.2 * G * m * m / R * nu * nu)
             if nu < 1.0 and G != 0.0:
                 if d is None:
-                    d = branch_distance(t, config)
+                    d = branch_distance(t, traj)
                 fq -= (1.0 - nu * nu) * G * m * m / d
             out[3 * k + 2] = fq / hbar
         return out

@@ -7,6 +7,10 @@ mass, the magnetic protocol and the gradient sign schedule lambda(t).
 
 The plus branch accelerates toward +z during the first interval; the
 minus branch mirrors it exactly, <z>_-(t) = -<z>_+(t).
+
+`protocol_segments` builds a config's `Trajectory` once; the means, the
+branch distance, the separation window and the classical action are all
+read off that one value.
 """
 
 from __future__ import annotations
@@ -17,13 +21,8 @@ from dataclasses import dataclass
 
 from .params import Branch, ExperimentConfig, Protocol
 
-
-@dataclass(frozen=True)
-class MeanState:
-    mean_z: float   # m
-    mean_p: float   # kg m/s
-    t: float        # s
-    branch: Branch
+# gradient sign on the five protocol intervals [0,T1], ..., [T4,T5]
+LAMBDAS = (1, -1, 0, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -43,27 +42,37 @@ class Segment:
     p0: float
 
 
-def gradient_force(config: ExperimentConfig) -> float:
-    """Force magnitude (g mu_B / 2) B0' on the plus branch when lambda=+1 (N)."""
-    c = config.constants
-    return 0.5 * c.g_factor * c.mu_B * config.protocol.B0_grad
+@dataclass(frozen=True)
+class Trajectory:
+    """The plus-branch segments of one config and the constants that
+    evaluate them: sphere mass m (kg), gradient force F = (g mu_B/2) B0'
+    (N), uniform-field energy E0 = (g mu_B/2) B0 (J) and radius R (m)."""
+
+    segments: tuple[Segment, ...]
+    m: float
+    F: float
+    E0: float
+    R: float
 
 
-def protocol_segments(config: ExperimentConfig) -> tuple[Segment, ...]:
-    """Plus-branch segments with start values accumulated across intervals."""
+def protocol_segments(config: ExperimentConfig) -> Trajectory:
+    """The config's trajectory: plus-branch segments with start values
+    accumulated across intervals."""
     p = config.protocol
-    F = gradient_force(config)
+    c = config.constants
+    half_g_mu = 0.5 * c.g_factor * c.mu_B
+    F = half_g_mu * p.B0_grad
     m = config.sphere.mass
     bounds = (0.0,) + p.times
-    lams = (1, -1, 0, -1, 1)
     segs: list[Segment] = []
     z, mom = 0.0, 0.0
-    for lam, lo, hi in zip(lams, bounds[:-1], bounds[1:]):
+    for lam, lo, hi in zip(LAMBDAS, bounds[:-1], bounds[1:]):
         segs.append(Segment(t_lo=lo, t_hi=hi, lam=lam, z0=z, p0=mom))
         tau = hi - lo
         z = z + mom * tau / m + lam * F * tau * tau / (2.0 * m)
         mom = mom + lam * F * tau
-    return tuple(segs)
+    return Trajectory(segments=tuple(segs), m=m, F=F, E0=half_g_mu * p.B0,
+                      R=config.sphere.radius)
 
 
 def lambda_of_t(t: float, protocol: Protocol) -> int:
@@ -88,41 +97,30 @@ def lambda_of_t(t: float, protocol: Protocol) -> int:
     return 1
 
 
-def _locate(segments: tuple[Segment, ...], t: float) -> Segment:
+def mean_state(branch: Branch, t: float,
+               traj: Trajectory) -> tuple[float, float]:
+    """Closed-form (<z> (m), <p> (kg m/s)) of a branch at time t."""
+    segments = traj.segments
     T5 = segments[-1].t_hi
     if t < 0.0 or t > T5:
         raise ValueError(f"t={t} outside protocol range [0, {T5}]")
-    idx = bisect_right([s.t_lo for s in segments], t) - 1
-    return segments[max(idx, 0)]
-
-
-def _plus_state(segments: tuple[Segment, ...], m: float, F: float,
-                t: float) -> tuple[float, float]:
-    s = _locate(segments, t)
+    starts = [s.t_lo for s in segments]
+    s = segments[max(bisect_right(starts, t) - 1, 0)]
+    m, F = traj.m, traj.F
     tau = t - s.t_lo
     z = s.z0 + s.p0 * tau / m + s.lam * F * tau * tau / (2.0 * m)
     p = s.p0 + s.lam * F * tau
-    return z, p
+    return branch.sign * z, branch.sign * p
 
 
-def mean_state(branch: Branch, t: float, config: ExperimentConfig) -> MeanState:
-    """Closed-form <z>, <p> of a branch at time t."""
-    segs = protocol_segments(config)
-    z, p = _plus_state(segs, config.sphere.mass, gradient_force(config), t)
-    sign = branch.sign
-    return MeanState(mean_z=sign * z, mean_p=sign * p, t=t, branch=branch)
-
-
-def branch_distance(t: float, config: ExperimentConfig) -> float:
+def branch_distance(t: float, traj: Trajectory) -> float:
     """Inter-branch distance d(t) = |<z>_+ - <z>_-| = 2 |<z>_+| (m)."""
-    segs = protocol_segments(config)
-    z, _ = _plus_state(segs, config.sphere.mass, gradient_force(config), t)
-    return 2.0 * abs(z)
+    return 2.0 * abs(mean_state(Branch.PLUS, t, traj)[0])
 
 
 def plateau_distance(config: ExperimentConfig) -> float:
     """Branch distance on the hold plateau [T2, T3] (m)."""
-    return branch_distance(config.protocol.T2, config)
+    return branch_distance(config.protocol.T2, protocol_segments(config))
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -143,32 +141,21 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     return (min(r1, r2), max(r1, r2))
 
 
-def separation_window(config: ExperimentConfig) -> tuple[float, float] | None:
+def separation_window(traj: Trajectory) -> tuple[float, float] | None:
     """First and last time the branch distance exceeds 2R, or None.
 
     The boundary d = 2R itself counts as overlap; between the returned
     times the packets are treated as separated (nu < 1 regimes).
     """
-    segs = protocol_segments(config)
-    m = config.sphere.mass
-    F = gradient_force(config)
-    R = config.sphere.radius
-
-    def crossings(seg: Segment) -> list[float]:
-        # z(tau) = R  with z quadratic in local time
-        a = seg.lam * F / (2.0 * m)
-        b = seg.p0 / m
-        c = seg.z0 - R
-        eps = 1e-12 * max(seg.t_hi - seg.t_lo, 1.0)
-        out = []
-        for tau in _quadratic_roots(a, b, c):
-            if -eps <= tau <= (seg.t_hi - seg.t_lo) + eps:
-                out.append(seg.t_lo + min(max(tau, 0.0), seg.t_hi - seg.t_lo))
-        return out
-
     hits: list[float] = []
-    for seg in segs:
-        hits.extend(crossings(seg))
+    for seg in traj.segments:
+        # z(tau) = R  with z quadratic in local time
+        span = seg.t_hi - seg.t_lo
+        eps = 1e-12 * max(span, 1.0)
+        for tau in _quadratic_roots(seg.lam * traj.F / (2.0 * traj.m),
+                                    seg.p0 / traj.m, seg.z0 - traj.R):
+            if -eps <= tau <= span + eps:
+                hits.append(seg.t_lo + min(max(tau, 0.0), span))
     if not hits:
         return None
     t_enter, t_exit = min(hits), max(hits)
@@ -183,19 +170,18 @@ def lambda_integral(protocol: Protocol, t: float | None = None) -> float:
     Vanishes at T5 for every protocol obeying the recombination constraint,
     which is why the uniform-field B0 phase cancels at the end.
     """
-    T1, T2, T3, T4, T5 = protocol.times
     if t is None:
-        t = T5
+        t = protocol.T5
+    bounds = (0.0,) + protocol.times
     total = 0.0
-    for lam, lo, hi in ((1, 0.0, T1), (-1, T1, T2), (0, T2, T3),
-                        (-1, T3, T4), (1, T4, T5)):
+    for lam, lo, hi in zip(LAMBDAS, bounds[:-1], bounds[1:]):
         if t <= lo:
             break
         total += lam * (min(t, hi) - lo)
     return total
 
 
-def classical_action(branch: Branch, config: ExperimentConfig,
+def classical_action(branch: Branch, traj: Trajectory,
                      t: float | None = None) -> float:
     """Classical action of the branch mean up to time t (J s).
 
@@ -203,23 +189,19 @@ def classical_action(branch: Branch, config: ExperimentConfig,
     V_ext,+- = +-lambda (g mu_B/2)(B0 - B0' <z>+-).  Exact segment-wise
     polynomial integration; no quadrature.
     """
-    p = config.protocol
+    T5 = traj.segments[-1].t_hi
     if t is None:
-        t = p.T5
-    segs = protocol_segments(config)
-    if t < 0.0 or t > p.T5:
-        raise ValueError(f"t={t} outside protocol range [0, {p.T5}]")
-    m = config.sphere.mass
-    F = gradient_force(config)
-    c = config.constants
-    b0_term = 0.5 * c.g_factor * c.mu_B * p.B0
+        t = T5
+    if t < 0.0 or t > T5:
+        raise ValueError(f"t={t} outside protocol range [0, {T5}]")
+    m, F = traj.m, traj.F
 
     # the kinetic and gradient parts are branch-symmetric; the uniform-field
     # part is accumulated separately so the branch difference reduces to the
     # single product B0 * int lambda dt and cancels exactly at T5
     common = 0.0
     lam_time = 0.0
-    for seg in segs:
+    for seg in traj.segments:
         if t <= seg.t_lo:
             break
         tau = min(t, seg.t_hi) - seg.t_lo
@@ -231,10 +213,4 @@ def classical_action(branch: Branch, config: ExperimentConfig,
         zint = z0 * tau + p0 * tau**2 / (2.0 * m) + lam * F * tau**3 / (6.0 * m)
         common += kin + lam * F * zint
         lam_time += lam * tau
-    return common - branch.sign * b0_term * lam_time
-
-
-def classical_phase(branch: Branch, config: ExperimentConfig,
-                    t: float | None = None) -> float:
-    """S_Cl / hbar (rad)."""
-    return classical_action(branch, config, t) / config.constants.hbar
+    return common - branch.sign * traj.E0 * lam_time

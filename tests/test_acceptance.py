@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from sgphase.gaussian import AnalyticBranch, spread_Q
+from sgphase.gaussian import spread_Q
 from sgphase.oracle import evolve_grid, scaled_config, scaled_grid_spec
 from sgphase.params import (Branch, ConstantsSet, Protocol, SpinWeights,
                             baseline_config, omega_s, separation_time,
@@ -19,8 +19,8 @@ from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
                            naive_estimate_two_term, radius_sweep)
 from sgphase.potential import (quadratic_truncation_error, quadratic_v_eff,
                                v_eff, v_eff_derivative)
-from sgphase.trajectories import (classical_phase, mean_state,
-                                  plateau_distance)
+from sgphase.trajectories import (classical_action, mean_state,
+                                  plateau_distance, protocol_segments)
 
 
 def verdict(num: int, text: str, passed: bool) -> None:
@@ -101,8 +101,9 @@ def test_criterion_07_classical_cancellation():
         protocol = Protocol.from_t1(k1 * 2.0**-12, hold=kh * 2.0**-12, B0=b0)
         cfg = replace(baseline_config(), protocol=protocol)
         assert validate(cfg).ok
-        diff = abs(classical_phase(Branch.PLUS, cfg)
-                   - classical_phase(Branch.MINUS, cfg))
+        traj, hbar = protocol_segments(cfg), cfg.constants.hbar
+        diff = abs(classical_action(Branch.PLUS, traj) / hbar
+                   - classical_action(Branch.MINUS, traj) / hbar)
         worst = max(worst, diff)
     ok = worst < 1e-10
     verdict(7, f"max |S_cl,+ - S_cl,-|/hbar = {worst:.2e} rad over 20 "
@@ -113,12 +114,13 @@ def test_criterion_08_trajectory_invariance():
     base = baseline_config()
     g_zero = replace(base, constants=ConstantsSet(
         name="g0", G=0.0, hbar=1.00e-34, mu_B=9.274e-24, g_factor=2.0))
+    base, g_zero = protocol_segments(base), protocol_segments(g_zero)
     same = True
     for t in np.linspace(0.0, 2.0, 101):
         for b in Branch:
-            a = mean_state(b, float(t), base)
-            c = mean_state(b, float(t), g_zero)
-            same = same and a.mean_z == c.mean_z and a.mean_p == c.mean_p
+            z_a, p_a = mean_state(b, float(t), base)
+            z_c, p_c = mean_state(b, float(t), g_zero)
+            same = same and z_a == z_c and p_a == p_c
     verdict(8, "mean trajectories bitwise identical for G=0 vs G=6.674e-11",
             same)
 
@@ -127,12 +129,13 @@ def test_criterion_09_analytic_vs_ode():
     cfg = baseline_config()
     res = delta_phi_ode(cfg, rtol=1e-12, n_eval=101)
     branches = {Branch.PLUS: res.A_plus, Branch.MINUS: res.A_minus}
+    pipe = PhasePipeline(cfg)
     worst_a = 0.0
     for b, a_ode in branches.items():
-        ab = AnalyticBranch(cfg, b)
+        ab = pipe.branches[b]
         for t, a_num in zip(res.t, a_ode):
             worst_a = max(worst_a, abs(ab.a(t) - a_num) / abs(a_num))
-    bd = PhasePipeline(cfg).breakdown()
+    bd = pipe.breakdown()
     dq_plus = abs(res.quantum_plus - bd.plus.quantum_integral)
     dq_minus = abs(res.quantum_minus - bd.minus.quantum_integral)
     d_phi = abs(res.delta_phi - bd.delta_phi)
@@ -150,9 +153,10 @@ def test_criterion_10_oracle_cross_check():
     start = time.perf_counter()
     run = evolve_grid(cfg, spec)
     elapsed = time.perf_counter() - start
-    closed = PhasePipeline(cfg).delta_phi()
+    pipe = PhasePipeline(cfg)
+    closed = pipe.delta_phi()
     rel_phi = abs(run.delta_phi_final - closed) / abs(closed)
-    branches = [AnalyticBranch(cfg, b) for b in Branch]
+    branches = [pipe.branches[b] for b in Branch]
     q_ref = np.array([[ab.q(t) for ab in branches] for t in run.t])
     worst_q = float(np.max(np.abs(run.moments.Q - q_ref) / q_ref))
     ok = (abs(w_t5 - 0.3) < 0.05 and spec.n == 4096

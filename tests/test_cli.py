@@ -9,9 +9,9 @@ import sgphase.cli
 from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VALIDATION, build_id, compare, main,
                          run_scenario)
-from sgphase.gaussian import AnalyticBranch
 from sgphase.oracle import GridSpec, evolve_grid, scaled_config
 from sgphase.params import Branch, ConstantsSet, baseline_config
+from sgphase.phase import PhasePipeline
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "sgphase" / "data" \
     / "baseline.expectations"
@@ -227,9 +227,9 @@ class TestOracleCompare:
         np.testing.assert_array_equal(table[:, 0], run.t)
         q_grid, q_closed = table[:, [1, 3]], table[:, [2, 4]]
         np.testing.assert_array_equal(q_grid, run.moments.Q)
-        cfg = scaled_config()
+        pipe = PhasePipeline(scaled_config())
         for col, b in enumerate(Branch):
-            ab = AnalyticBranch(cfg, b)
+            ab = pipe.branches[b]
             np.testing.assert_array_equal(q_closed[:, col],
                                           [ab.q(t) for t in run.t])
         np.testing.assert_array_equal(table[:, 5], run.delta_phi)

@@ -7,16 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgphase.gaussian import (AnalyticBranch, integral_inv_q, integral_q,
-                              moments_from_a, propagate_a, regime_intervals,
-                              spread_P, spread_Q,
-                              width_difference, width_difference_exact)
-from sgphase.params import (Branch, ConstantsSet, SpinWeights,
-                            baseline_config, omega_s, separation_time)
+from sgphase.gaussian import (integral_inv_q, integral_q, moments_from_a,
+                              propagate_a, regime_intervals, spread_P,
+                              spread_Q)
+from sgphase.params import (Branch, ConstantsSet, baseline_config, omega_s,
+                            separation_time)
+from sgphase.phase import PhasePipeline
 from sgphase.potential import NUCLEAR_BOOST
+from sgphase.trajectories import protocol_segments, separation_window
 
 nu_strategy = st.floats(min_value=0.05, max_value=1.0)
 t_strategy = st.floats(min_value=0.0, max_value=2.0)
+
+
+def intervals(config, branch):
+    window = separation_window(protocol_segments(config))
+    return regime_intervals(config, branch, window)
 
 
 def scaled_g(config, factor):
@@ -155,7 +161,7 @@ class TestSpreads:
     def test_free_reference_bounds_plus_branch(self, baseline):
         # self-gravity only narrows: the plus branch starts at Q0 and
         # never spreads wider than the free packet
-        plus = AnalyticBranch(baseline, Branch.PLUS)
+        plus = PhasePipeline(baseline).branches[Branch.PLUS]
         Q0 = baseline.initial.Q0
         m = baseline.sphere.mass
         hbar = baseline.constants.hbar
@@ -165,30 +171,6 @@ class TestSpreads:
         assert q_plus[0] == pytest.approx(Q0)
         assert np.all(q_plus > 0)
         assert np.all(q_free[1:] >= q_plus[1:])
-
-
-class TestWidthDifference:
-    def test_symmetric_weights_vanish(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.5, 0.5))
-        assert width_difference(1.0, cfg) == 0.0
-
-    def test_baseline_formula(self, baseline):
-        t = 1.3
-        w = omega_s(baseline.sphere, baseline.constants)
-        expected = -(baseline.initial.sqrt_Q0 / 6.0) * (w * t) ** 2
-        assert width_difference(t, baseline) == pytest.approx(expected,
-                                                              rel=1e-12)
-
-    def test_negligible_at_three_seconds(self, baseline):
-        assert abs(width_difference(3.0, baseline)) <= 1e-15
-
-    def test_formula_tracks_exact_difference(self, baseline):
-        t = 2.0
-        w = omega_s(baseline.sphere, baseline.constants)
-        exact = width_difference_exact(t, baseline)
-        formula = width_difference(t, baseline)
-        assert exact == pytest.approx(formula,
-                                      abs=abs(formula) * (w * t) * 5 + 1e-30)
 
 
 def _breathing_config(g_factor: float):
@@ -251,7 +233,7 @@ class TestSegmentIntegrals:
 
 class TestRegimeIntervals:
     def test_baseline_structure(self, baseline):
-        ivs = regime_intervals(baseline, Branch.PLUS)
+        ivs = intervals(baseline, Branch.PLUS)
         Ts = separation_time(baseline)
         assert len(ivs) == 3
         assert [iv.nu for iv in ivs] == pytest.approx(
@@ -261,7 +243,7 @@ class TestRegimeIntervals:
                                             rel=1e-12)
 
     def test_a_continuous_at_switches(self, baseline):
-        ab = AnalyticBranch(baseline, Branch.MINUS)
+        ab = PhasePipeline(baseline).branches[Branch.MINUS]
         for iv_prev, iv_next in zip(ab.intervals[:-1], ab.intervals[1:]):
             left = propagate_a(iv_prev.A_start, iv_prev.nu, iv_prev.omega,
                                baseline.sphere.mass, baseline.constants.hbar,
@@ -270,7 +252,7 @@ class TestRegimeIntervals:
 
     def test_nuclear_boost_window(self):
         cfg = baseline_config(sqrt_Q0=1e-13, nuclear_correction=True)
-        ivs = regime_intervals(cfg, Branch.PLUS)
+        ivs = intervals(cfg, Branch.PLUS)
         w0 = omega_s(cfg.sphere, cfg.constants)
         assert ivs[0].omega == pytest.approx(NUCLEAR_BOOST * w0)
         # free-spreading estimate of the crossing time sqrt(Q) = 1e-12 m
@@ -283,6 +265,6 @@ class TestRegimeIntervals:
 
     def test_nuclear_boost_negligible_for_wide_packets(self, baseline):
         cfg = replace(baseline, nuclear_correction=True)
-        ivs_on = regime_intervals(cfg, Branch.PLUS)
-        ivs_off = regime_intervals(baseline, Branch.PLUS)
+        ivs_on = intervals(cfg, Branch.PLUS)
+        ivs_off = intervals(baseline, Branch.PLUS)
         assert [iv.omega for iv in ivs_on] == [iv.omega for iv in ivs_off]

@@ -17,7 +17,8 @@ from sgphase.oracle import (GridEscapeError, GridSpec, Moments,
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import lambda_integral, mean_state
+from sgphase.trajectories import (lambda_integral, mean_state,
+                                  protocol_segments, separation_window)
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +142,9 @@ class TestHarmonicOnly:
 class TestEhrenfest:
     def test_means_track_trajectories(self, scaled, spec_small):
         run = evolve_grid(scaled, spec_small)
-        z_ref = np.array([mean_state(Branch.PLUS, t, scaled).mean_z
-                          for t in run.t])
-        p_ref = np.array([mean_state(Branch.PLUS, t, scaled).mean_p
-                          for t in run.t])
+        traj = protocol_segments(scaled)
+        z_ref, p_ref = np.array([mean_state(Branch.PLUS, t, traj)
+                                 for t in run.t]).T
         z_scale = float(np.abs(z_ref).max())
         p_scale = float(np.abs(p_ref).max())
         assert np.abs(run.moments.mean_z[:, 0] - z_ref).max() \
@@ -186,9 +186,10 @@ class TestScaledCrossCheck:
         spec = GridSpec(n=2048, z_min=-32.0, z_max=32.0, dt=1e-3,
                         snapshot_stride=100)
         run = evolve_grid(scaled, spec)
-        closed = PhasePipeline(scaled).delta_phi()
+        pipe = PhasePipeline(scaled)
+        closed = pipe.delta_phi()
         assert run.delta_phi_final == pytest.approx(closed, rel=1e-2)
-        branches = [AnalyticBranch(scaled, b) for b in Branch]
+        branches = [pipe.branches[b] for b in Branch]
         q_ref = np.array([[ab.q(t) for ab in branches] for t in run.t])
         rel = np.abs(run.moments.Q - q_ref) / q_ref
         assert float(rel.max()) < 1e-4
@@ -254,7 +255,9 @@ class TestCrossTermRouting:
                         snapshot_stride=100)
         run = evolve_grid(cfg, spec)
         q_plus_ref = np.array([spread_Q(t, 1.0, cfg) for t in run.t])
-        minus_ref = AnalyticBranch(cfg, Branch.MINUS)
+        # pure weights are outside validate's domain, so no PhasePipeline
+        minus_ref = AnalyticBranch(
+            cfg, Branch.MINUS, separation_window(protocol_segments(cfg)))
         q_minus_ref = np.array([minus_ref.q(t) for t in run.t])
         assert float((np.abs(run.moments.Q[:, 0] - q_plus_ref)
                       / q_plus_ref).max()) < 1e-4
@@ -292,8 +295,10 @@ class TestGuards:
         ({"dt": -1e-3}, 0.25),      # would take one step per segment
         ({"dt": math.inf}, None),
         ({"snapshot_stride": 0}, None),
+        ({"n": 0}, None),           # was a bare ZeroDivisionError
+        ({"z_min": 32.0, "z_max": -32.0}, None),
     ], ids=["past-T5", "negative-t_end", "zero-dt", "negative-dt",
-            "infinite-dt", "zero-stride"])
+            "infinite-dt", "zero-stride", "zero-n", "reversed-bounds"])
     def test_invalid_run_rejected(self, scaled, spec_small, spec_kw,
                                   t_end_over_T5):
         t_end = (None if t_end_over_T5 is None

@@ -188,7 +188,6 @@ class TestTypes:
         w = SpinWeights.from_plus(1.0 / 3.0)
         assert w.beta_sq(Branch.PLUS) == pytest.approx(1.0 / 3.0)
         assert w.beta(Branch.PLUS) == pytest.approx(1.0 / math.sqrt(3.0))
-        assert w.swapped().beta_plus_sq == w.beta_minus_sq
 
     def test_density(self, baseline):
         rho = baseline.sphere.density
@@ -202,4 +201,3 @@ class TestTypes:
     def test_branch_helpers(self):
         assert Branch.PLUS.sign == 1.0
         assert Branch.MINUS.sign == -1.0
-        assert Branch.PLUS.other is Branch.MINUS

@@ -7,6 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import sgphase.phase
+from sgphase import trajectories
 from sgphase.gaussian import integral_inv_q, integral_q
 from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
                             SphereParams, SpinWeights, baseline_config,
@@ -15,7 +17,8 @@ from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
 from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
                            i2_difference_estimate, naive_estimate,
                            naive_estimate_two_term, phase_curve, radius_sweep)
-from sgphase.trajectories import plateau_distance, separation_window
+from sgphase.trajectories import (plateau_distance, protocol_segments,
+                                  separation_window)
 
 
 def without_gravity(config):
@@ -179,12 +182,6 @@ class TestImC:
         for t in (0.3, 1.0, 1.7, 2.0):
             assert pipe.delta_phi(t) == 0.0
 
-    def test_branch_total_assembles_terms(self, baseline):
-        bp = PhasePipeline(baseline).breakdown().plus
-        assert bp.total == pytest.approx(
-            bp.boundary_zp + bp.boundary_width + bp.classical
-            - (bp.i1 + bp.i2 + bp.const_self + bp.newton_cross), rel=1e-15)
-
     def test_delta_phi_is_sum_of_diffs(self, baseline):
         bd = PhasePipeline(baseline).breakdown(1.3)
         total = (bd.boundary_diff + bd.classical_diff + bd.i1_diff
@@ -201,7 +198,7 @@ class TestDeltaPhi:
         # independent route to delta_phi(T5): adaptive quadrature of the
         # instantaneous F_Q difference over the protocol
         c = baseline.constants
-        t_in, t_out = separation_window(baseline)
+        t_in, t_out = separation_window(protocol_segments(baseline))
         pts = sorted(set(list(baseline.protocol.times[:4]) + [t_in, t_out]))
         pipe = PhasePipeline(baseline)
 
@@ -236,7 +233,9 @@ class TestDeltaPhi:
     @example(baseline_config())
     @example(SUB_TANGENT)
     def test_weight_swap_antisymmetry(self, config):
-        swapped = replace(config, weights=config.weights.swapped())
+        w = config.weights
+        swapped = replace(config, weights=SpinWeights(w.beta_minus_sq,
+                                                      w.beta_plus_sq))
         dp = PhasePipeline(config).delta_phi()
         assert PhasePipeline(swapped).delta_phi() == -dp
         # packets that never clear contact d = 2R keep nu = 1 throughout
@@ -284,6 +283,28 @@ class TestDeltaPhi:
                           "newton_diff,classical_diff")
 
 
+class TestTrajectoryBuilds:
+    def test_one_trajectory_per_config(self, baseline, monkeypatch):
+        # the pipeline builds the trajectory once; every later breakdown
+        # and every phase_curve sample only reads it
+        builds = []
+        build = trajectories.protocol_segments
+
+        def counted(config):
+            builds.append(config)
+            return build(config)
+
+        for module in (sgphase.phase, trajectories):
+            monkeypatch.setattr(module, "protocol_segments", counted)
+        pipe = PhasePipeline(baseline)
+        assert len(builds) == 1
+        for frac in (1.0, 0.3, 0.61):
+            pipe.breakdown(frac * baseline.protocol.T5)
+        assert len(builds) == 1
+        phase_curve(baseline)
+        assert len(builds) == 2
+
+
 class TestOdeCrossCheck:
     def test_matches_closed_form(self, baseline):
         res = delta_phi_ode(baseline, rtol=1e-12, n_eval=41)
@@ -293,9 +314,8 @@ class TestOdeCrossCheck:
         assert abs(res.quantum_minus - bd.minus.quantum_integral) < 1e-5
 
     def test_a_agrees_with_analytic(self, baseline):
-        from sgphase.gaussian import AnalyticBranch
         res = delta_phi_ode(baseline, rtol=1e-12, n_eval=41)
-        ab = AnalyticBranch(baseline, Branch.PLUS)
+        ab = PhasePipeline(baseline).branches[Branch.PLUS]
         rel = max(abs(ab.a(t) - a) / abs(a)
                   for t, a in zip(res.t, res.A_plus))
         assert rel < 1e-8

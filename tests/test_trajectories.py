@@ -10,12 +10,16 @@ from scipy.integrate import quad
 from sgphase.params import (Branch, ConstantsSet, Protocol, SphereParams,
                             baseline_config, separation_time)
 from sgphase.trajectories import (branch_distance, classical_action,
-                                  classical_phase, gradient_force,
                                   lambda_integral, lambda_of_t, mean_state,
                                   plateau_distance, protocol_segments,
                                   separation_window)
 
 times_strategy = st.floats(min_value=0.0, max_value=2.0)
+
+
+@pytest.fixture(scope="module")
+def traj(baseline):
+    return protocol_segments(baseline)
 
 
 def dyadic_protocol(k1: int, kh: int, b0: float = 0.0) -> Protocol:
@@ -55,71 +59,72 @@ class TestLambda:
 
 
 class TestMeanState:
-    def test_endpoints(self, baseline):
+    def test_endpoints(self, baseline, traj):
         for b in Branch:
-            start = mean_state(b, 0.0, baseline)
-            end = mean_state(b, baseline.protocol.T5, baseline)
-            assert start.mean_z == 0.0 and start.mean_p == 0.0
-            assert abs(end.mean_z) < 1e-18
-            assert abs(end.mean_p) < 1e-30
+            z_start, p_start = mean_state(b, 0.0, traj)
+            z_end, p_end = mean_state(b, baseline.protocol.T5, traj)
+            assert z_start == 0.0 and p_start == 0.0
+            assert abs(z_end) < 1e-18
+            assert abs(p_end) < 1e-30
 
-    def test_plateau_values(self, baseline):
+    def test_plateau_values(self, baseline, traj):
         # independent closed form: z = (g mu_B / 2m) B0' T1^2 on the plateau
         c = baseline.constants
         expected = (c.g_factor * c.mu_B / (2.0 * baseline.sphere.mass)
                     * baseline.protocol.B0_grad * baseline.protocol.T1**2)
-        ms = mean_state(Branch.PLUS, 1.0, baseline)
-        assert ms.mean_z == pytest.approx(expected, rel=1e-12)
+        z, p = mean_state(Branch.PLUS, 1.0, traj)
+        assert z == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.054e-4, rel=1e-3)
-        assert ms.mean_p == 0.0
-        assert branch_distance(1.0, baseline) == pytest.approx(2.1e-4, rel=5e-3)
+        assert p == 0.0
+        assert branch_distance(1.0, traj) == pytest.approx(2.1e-4, rel=5e-3)
 
     def test_momentum_after_first_kick(self, baseline_codata):
         # (g mu_B / 2) B0' T1 evaluated independently
-        ms = mean_state(Branch.PLUS, 0.25, baseline_codata)
+        _, p = mean_state(Branch.PLUS, 0.25,
+                          protocol_segments(baseline_codata))
         expected = 9.274e-24 * 1e6 * 0.25
-        assert ms.mean_p == pytest.approx(expected, rel=1e-12)
+        assert p == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(2.32e-18, rel=2e-3)
 
-    def test_continuity_at_boundaries(self, baseline):
+    def test_continuity_at_boundaries(self, baseline, traj):
         # the jump across each boundary must be pure slope, no offset
         eps = 1e-9
         m = baseline.sphere.mass
-        F = gradient_force(baseline)
-        zs = abs(mean_state(Branch.PLUS, 1.0, baseline).mean_z)
-        ps = abs(mean_state(Branch.PLUS, 0.25, baseline).mean_p)
+        F = traj.F
+        zs = abs(mean_state(Branch.PLUS, 1.0, traj)[0])
+        ps = abs(mean_state(Branch.PLUS, 0.25, traj)[1])
         for T in baseline.protocol.times[:4]:
-            before = mean_state(Branch.PLUS, T - eps, baseline)
-            after = mean_state(Branch.PLUS, T + eps, baseline)
-            at = mean_state(Branch.PLUS, T, baseline)
-            z_jump = abs(after.mean_z - before.mean_z) - 2 * eps * abs(at.mean_p) / m
-            p_jump = abs(after.mean_p - before.mean_p) - 2 * eps * F
+            z_before, p_before = mean_state(Branch.PLUS, T - eps, traj)
+            z_after, p_after = mean_state(Branch.PLUS, T + eps, traj)
+            _, p_at = mean_state(Branch.PLUS, T, traj)
+            z_jump = abs(z_after - z_before) - 2 * eps * abs(p_at) / m
+            p_jump = abs(p_after - p_before) - 2 * eps * F
             assert z_jump <= 1e-12 * zs
             assert p_jump <= 1e-12 * ps
 
     @given(times_strategy)
     def test_antisymmetry(self, t):
-        cfg = baseline_config()
-        plus = mean_state(Branch.PLUS, t, cfg)
-        minus = mean_state(Branch.MINUS, t, cfg)
-        assert minus.mean_z == -plus.mean_z
-        assert minus.mean_p == -plus.mean_p
+        traj = protocol_segments(baseline_config())
+        z_plus, p_plus = mean_state(Branch.PLUS, t, traj)
+        z_minus, p_minus = mean_state(Branch.MINUS, t, traj)
+        assert z_minus == -z_plus
+        assert p_minus == -p_plus
 
-    def test_velocity_is_momentum_over_mass(self, baseline):
+    def test_velocity_is_momentum_over_mass(self, baseline, traj):
         h = 1e-7
         m = baseline.sphere.mass
         for t in (0.1, 0.4, 1.0, 1.6, 1.9):
-            dz = (mean_state(Branch.PLUS, t + h, baseline).mean_z
-                  - mean_state(Branch.PLUS, t - h, baseline).mean_z) / (2 * h)
-            p = mean_state(Branch.PLUS, t, baseline).mean_p
+            dz = (mean_state(Branch.PLUS, t + h, traj)[0]
+                  - mean_state(Branch.PLUS, t - h, traj)[0]) / (2 * h)
+            p = mean_state(Branch.PLUS, t, traj)[1]
             if p == 0.0:
                 assert dz == pytest.approx(0.0, abs=1e-12)
             else:
                 assert dz == pytest.approx(p / m, rel=1e-6)
 
-    def test_shape_triangular_with_flat_top(self, baseline):
+    def test_shape_triangular_with_flat_top(self, traj):
         ts = np.linspace(0, 2.0, 401)
-        zs = np.array([mean_state(Branch.PLUS, t, baseline).mean_z for t in ts])
+        zs = np.array([mean_state(Branch.PLUS, t, traj)[0] for t in ts])
         plateau = (ts >= 0.5) & (ts <= 1.5)
         assert np.ptp(zs[plateau]) == pytest.approx(0.0, abs=1e-18)
         rising = (ts > 0.01) & (ts < 0.49)
@@ -127,42 +132,42 @@ class TestMeanState:
         falling = (ts > 1.51) & (ts < 1.99)
         assert np.all(np.diff(zs[falling]) < 0)
 
-    def test_out_of_range(self, baseline):
+    def test_out_of_range(self, traj):
         with pytest.raises(ValueError):
-            mean_state(Branch.PLUS, -0.5, baseline)
+            mean_state(Branch.PLUS, -0.5, traj)
 
 
 class TestSelfGravityIndependence:
-    def test_bitwise_invariance_under_G(self, baseline):
-        g_off = replace(baseline, constants=ConstantsSet(
-            name="g-off", G=0.0, hbar=1e-34, mu_B=9.274e-24, g_factor=2.0))
+    def test_bitwise_invariance_under_G(self, baseline, traj):
+        g_off = protocol_segments(replace(baseline, constants=ConstantsSet(
+            name="g-off", G=0.0, hbar=1e-34, mu_B=9.274e-24, g_factor=2.0)))
         for t in np.linspace(0.0, 2.0, 97):
-            a = mean_state(Branch.PLUS, float(t), baseline)
-            b = mean_state(Branch.PLUS, float(t), g_off)
-            assert a.mean_z == b.mean_z
-            assert a.mean_p == b.mean_p
+            z_a, p_a = mean_state(Branch.PLUS, float(t), traj)
+            z_b, p_b = mean_state(Branch.PLUS, float(t), g_off)
+            assert z_a == z_b
+            assert p_a == p_b
 
-    def test_independent_of_weights_and_spread(self, baseline):
+    def test_independent_of_weights_and_spread(self, baseline, traj):
         from sgphase.params import InitialState, SpinWeights
-        other = replace(baseline,
-                        weights=SpinWeights.from_plus(0.9),
-                        initial=InitialState.from_sqrt(1e-13))
+        other = protocol_segments(replace(
+            baseline, weights=SpinWeights.from_plus(0.9),
+            initial=InitialState.from_sqrt(1e-13)))
         for t in (0.1, 0.7, 1.9):
-            assert (mean_state(Branch.PLUS, t, baseline).mean_z
-                    == mean_state(Branch.PLUS, t, other).mean_z)
+            assert (mean_state(Branch.PLUS, t, traj)[0]
+                    == mean_state(Branch.PLUS, t, other)[0])
 
 
 class TestSeparationWindow:
-    def test_baseline_window_matches_formula(self, baseline):
-        t_in, t_out = separation_window(baseline)
+    def test_baseline_window_matches_formula(self, baseline, traj):
+        t_in, t_out = separation_window(traj)
         Ts = separation_time(baseline)
         assert t_in == pytest.approx(Ts, rel=1e-12)
         assert t_out == pytest.approx(baseline.protocol.T5 - Ts, rel=1e-12)
-        assert branch_distance(t_in, baseline) == pytest.approx(
+        assert branch_distance(t_in, traj) == pytest.approx(
             2.0 * baseline.sphere.radius, rel=1e-12)
 
     def test_short_protocol_crosses_in_second_segment(self, short_protocol):
-        t_in, t_out = separation_window(short_protocol)
+        t_in, t_out = separation_window(protocol_segments(short_protocol))
         p = short_protocol.protocol
         assert p.T1 < t_in < p.T2
         # root of the second-segment quadratic, solved independently
@@ -176,7 +181,7 @@ class TestSeparationWindow:
 
     def test_never_separates(self, baseline):
         fat = replace(baseline, sphere=SphereParams(mass=5.5e-15, radius=1e-3))
-        assert separation_window(fat) is None
+        assert separation_window(protocol_segments(fat)) is None
 
     def test_plateau_distance(self, short_protocol):
         d = plateau_distance(short_protocol)
@@ -184,9 +189,9 @@ class TestSeparationWindow:
 
 
 class TestClassicalAction:
-    def test_branches_equal_at_T5(self, baseline):
-        s_plus = classical_action(Branch.PLUS, baseline)
-        s_minus = classical_action(Branch.MINUS, baseline)
+    def test_branches_equal_at_T5(self, traj):
+        s_plus = classical_action(Branch.PLUS, traj)
+        s_minus = classical_action(Branch.MINUS, traj)
         assert s_plus == s_minus
 
     @given(st.integers(min_value=64, max_value=2048),
@@ -195,20 +200,23 @@ class TestClassicalAction:
     def test_branch_difference_vanishes(self, k1, kh, b0):
         cfg = replace(baseline_config(),
                       protocol=dyadic_protocol(k1, kh, b0))
-        diff = (classical_phase(Branch.PLUS, cfg)
-                - classical_phase(Branch.MINUS, cfg))
+        traj, hbar = protocol_segments(cfg), cfg.constants.hbar
+        diff = (classical_action(Branch.PLUS, traj) / hbar
+                - classical_action(Branch.MINUS, traj) / hbar)
         assert abs(diff) < 1e-10
 
-    def test_uniform_field_part_cancels(self, baseline):
+    def test_uniform_field_part_cancels(self, baseline, traj):
         with_b0 = replace(baseline,
                           protocol=replace(baseline.protocol, B0=0.1))
-        assert classical_action(Branch.PLUS, with_b0) == pytest.approx(
-            classical_action(Branch.PLUS, baseline), rel=1e-12)
+        assert classical_action(
+            Branch.PLUS, protocol_segments(with_b0)) == pytest.approx(
+            classical_action(Branch.PLUS, traj), rel=1e-12)
 
     def test_zero_gradient_zero_action(self, baseline):
         p = baseline.protocol
         still = replace(baseline, protocol=replace(p, B0_grad=1e-300))
-        assert classical_action(Branch.PLUS, still) == pytest.approx(
+        assert classical_action(
+            Branch.PLUS, protocol_segments(still)) == pytest.approx(
             0.0, abs=1e-250)
 
     def test_against_quadrature(self, baseline):
@@ -217,43 +225,44 @@ class TestClassicalAction:
         cfg = replace(baseline, protocol=replace(baseline.protocol, B0=0.05))
         c = cfg.constants
         m = cfg.sphere.mass
+        traj = protocol_segments(cfg)
 
         def lagrangian(t, branch):
-            ms = mean_state(branch, t, cfg)
+            z, p = mean_state(branch, t, traj)
             lam = lambda_of_t(t, cfg.protocol)
             v_ext = (branch.sign * lam * 0.5 * c.g_factor * c.mu_B
-                     * (cfg.protocol.B0 - cfg.protocol.B0_grad * ms.mean_z))
-            return ms.mean_p**2 / (2.0 * m) - v_ext
+                     * (cfg.protocol.B0 - cfg.protocol.B0_grad * z))
+            return p**2 / (2.0 * m) - v_ext
 
         for branch in Branch:
             val, err = quad(lagrangian, 0.0, cfg.protocol.T5, args=(branch,),
                             points=list(cfg.protocol.times[:4]), limit=200,
                             epsabs=1e-18, epsrel=1e-12)
-            assert classical_action(branch, cfg) == pytest.approx(val,
-                                                                  rel=1e-9)
+            assert classical_action(branch, traj) == pytest.approx(val,
+                                                                   rel=1e-9)
 
-    def test_partial_time(self, baseline):
+    def test_partial_time(self, baseline, traj):
         # kinetic-only check on the first segment: S(t) = F^2 t^3 / 6m + grad part
-        F = gradient_force(baseline)
+        F = traj.F
         m = baseline.sphere.mass
         t = 0.1
         kin = F * F * t**3 / (6.0 * m)
         # gradient potential term: + int lam F z dt = F * alpha t^3 / 3
         alpha = F / (2.0 * m)
         grad = F * alpha * t**3 / 3.0
-        assert classical_action(Branch.PLUS, baseline, t) == pytest.approx(
+        assert classical_action(Branch.PLUS, traj, t) == pytest.approx(
             kin + grad, rel=1e-12)
 
 
 class TestSegments:
-    def test_segment_structure(self, baseline):
-        segs = protocol_segments(baseline)
+    def test_segment_structure(self, baseline, traj):
+        segs = traj.segments
         assert [s.lam for s in segs] == [1, -1, 0, -1, 1]
         assert segs[0].t_lo == 0.0
         assert segs[-1].t_hi == baseline.protocol.T5
         # start values chain continuously
         m = baseline.sphere.mass
-        F = gradient_force(baseline)
+        F = traj.F
         for prev, nxt in zip(segs[:-1], segs[1:]):
             tau = prev.t_hi - prev.t_lo
             z_end = prev.z0 + prev.p0 * tau / m + prev.lam * F * tau**2 / (2 * m)
