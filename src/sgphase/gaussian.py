@@ -13,6 +13,14 @@ nuclear pulsation boost) is handled by chaining the closed form across
 regime intervals with A continuous at every switch.  The separation
 window comes in as an argument (`trajectories.separation_window` of the
 config's trajectory), so this module needs nothing from the means.
+
+The nuclear boost holds while sqrt(Q) is below the nucleon scale and ends
+at the first root of Q = T = NUCLEON_SCALE^2.  Within an interval Q is a
+quadratic form in (cos th, sin th), so that root is the smaller-angle
+root of a quadratic in u = tan th (`_nuclear_crossing`), solved without
+cancellation.  The boosted interval ends at a time t with Q(t) >= T as
+`propagate_a` evaluates it, so the interval that starts there is never
+boosted.
 """
 
 from __future__ import annotations
@@ -20,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import Branch, ExperimentConfig
 from .params import omega_s as omega_s_of
 from .potential import NUCLEON_SCALE, effective_omega_s
+from .trajectories import _quadratic_roots
 
 
 class IntegrationError(RuntimeError):
@@ -163,30 +170,51 @@ class RegimeInterval:
 def _nuclear_crossing(A0: complex, nu: float, omega: float, mass: float,
                       hbar: float, t_lo: float, t_hi: float) -> float | None:
     """First time in (t_lo, t_hi) where sqrt(Q) reaches the nucleon scale,
-    found by coarse scan plus bisection on the closed-form Q."""
+    or None if Q stays below T = NUCLEON_SCALE^2 until t_hi.
+
+    With th = nu omega (t - t_lo) the variance of the packet is
+    Q = alpha cos^2 th + beta sin^2 th + gamma sin 2th (the coefficients
+    of `integral_q`), so Q = T is the quadratic
+
+        (beta - T) u^2 + 2 gamma u + (alpha - T) = 0,   u = tan th,
+
+    whose roots map to th = atan(u) mod pi (plus th = pi/2 when
+    beta = T); the smallest is the first crossing.  The free packet
+    (nu omega = 0) solves the quadratic in t - t_lo directly.
+
+    Invariant: the returned t satisfies Q(t) >= T as `propagate_a`
+    evaluates it, so the interval that starts at t is never boosted.  The
+    root is exact to an ulp or two, but that Q carries a few ulps of
+    rounding, and its slope at the root vanishes as Q0 -> T, so clearing
+    the rounding can take thousands of ulps of t.  A shortfall is made up
+    in steps that double from one ulp, which take a few evaluations
+    either way.
+    """
     target = NUCLEON_SCALE * NUCLEON_SCALE
-
-    def q_at(t: float) -> float:
-        return moments_from_a(
-            propagate_a(A0, nu, omega, mass, hbar, t - t_lo), mass, hbar)[0]
-
-    if q_at(t_lo) >= target:
+    Q0, P0, s0 = moments_from_a(A0, mass, hbar)
+    if Q0 >= target:
         return None
-    grid = np.linspace(t_lo, t_hi, 1025)
-    above = [t for t in grid[1:] if q_at(t) >= target]
-    if not above:
+    wt = nu * omega
+    if wt == 0.0:
+        taus = [tau for tau in _quadratic_roots(P0 / (mass * mass),
+                                                2.0 * s0 / mass, Q0 - target)
+                if tau > 0.0]
+    else:
+        lead = P0 / (mass * wt) ** 2 - target
+        taus = [(math.atan(u) % math.pi) / wt for u in
+                _quadratic_roots(lead, 2.0 * s0 / (mass * wt), Q0 - target)]
+        if lead == 0.0:
+            taus.append(0.5 * math.pi / wt)
+    if not taus:
         return None
-    hi = above[0]
-    lo = max(t_lo, hi - (grid[1] - grid[0]))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if q_at(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t, step = t_lo + min(taus), 0.0
+    while t < t_hi:
+        if moments_from_a(propagate_a(A0, nu, omega, mass, hbar, t - t_lo),
+                          mass, hbar)[0] >= target:
+            return t
+        step = 2.0 * step if step else math.ulp(t)
+        t += step
+    return None
 
 
 def regime_intervals(config: ExperimentConfig, branch: Branch,

@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gaussian import (AnalyticBranch, IntegrationError, integral_inv_q,
                        integral_q, regime_intervals)
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
                      require_valid, separation_time)
-from .trajectories import (branch_distance, classical_action, lambda_integral,
+from .trajectories import (action_parts, branch_distance, lambda_integral,
                            mean_state, protocol_segments, separation_window)
 
 
@@ -208,13 +207,15 @@ class PhasePipeline:
         boundary_zp = -z * p / self._hbar
         z_sq = z**2
         inv_d = self._separated_inv_d(t)
+        # one segment walk serves both actions and the classical difference
+        common, lam_time = action_parts(self.trajectory, t)
         im_a = {}
         phases = {}
         for b in Branch:
             im_a[b] = self.branches[b].a(t).imag
             i1, i2, const_self = self._interval_sums(b, t)
             nu = self.config.weights.beta(b)
-            action = classical_action(b, self.trajectory, t)
+            action = common - b.sign * self.trajectory.E0 * lam_time
             phases[b] = BranchPhase(
                 boundary_zp=boundary_zp,
                 boundary_width=-0.5 * z_sq * im_a[b],
@@ -231,7 +232,7 @@ class PhasePipeline:
         # only the uniform-field part of the action is branch-asymmetric
         c = self.config.constants
         classical_diff = -(c.g_factor * c.mu_B * self.config.protocol.B0
-                           / c.hbar) * lambda_integral(self.config.protocol, t)
+                           / c.hbar) * lam_time
         i1_diff = -(plus.i1 - minus.i1)
         i2_diff = -(plus.i2 - minus.i2)
         const_diff = -(plus.const_self - minus.const_self)
@@ -360,6 +361,10 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
                   n_eval: int = 201) -> OdeCrossCheck:
     """Integrate dA/dt and dq/dt = F_Q/hbar per branch with an adaptive
     high-order scheme and reassemble the phase difference."""
+    # imported here: no other path needs scipy, and it is most of the
+    # package's import time and resident memory
+    from scipy.integrate import solve_ivp
+
     require_valid(config)
     m = config.sphere.mass
     c = config.constants

@@ -181,13 +181,12 @@ def lambda_integral(protocol: Protocol, t: float | None = None) -> float:
     return total
 
 
-def classical_action(branch: Branch, traj: Trajectory,
-                     t: float | None = None) -> float:
-    """Classical action of the branch mean up to time t (J s).
-
-    S = int [ <p>^2/(2m) - V_ext(<z>) ] dt with the magnetic potential
-    V_ext,+- = +-lambda (g mu_B/2)(B0 - B0' <z>+-).  Exact segment-wise
-    polynomial integration; no quadrature.
+def action_parts(traj: Trajectory,
+                 t: float | None = None) -> tuple[float, float]:
+    """The two parts of the classical action up to t (default T5), from
+    one walk over the segments: the branch-symmetric kinetic and gradient
+    part (J s) and int lambda dt (s), which the uniform-field part
+    +-E0 int lambda dt multiplies.
     """
     T5 = traj.segments[-1].t_hi
     if t is None:
@@ -195,10 +194,6 @@ def classical_action(branch: Branch, traj: Trajectory,
     if t < 0.0 or t > T5:
         raise ValueError(f"t={t} outside protocol range [0, {T5}]")
     m, F = traj.m, traj.F
-
-    # the kinetic and gradient parts are branch-symmetric; the uniform-field
-    # part is accumulated separately so the branch difference reduces to the
-    # single product B0 * int lambda dt and cancels exactly at T5
     common = 0.0
     lam_time = 0.0
     for seg in traj.segments:
@@ -213,4 +208,19 @@ def classical_action(branch: Branch, traj: Trajectory,
         zint = z0 * tau + p0 * tau**2 / (2.0 * m) + lam * F * tau**3 / (6.0 * m)
         common += kin + lam * F * zint
         lam_time += lam * tau
+    return common, lam_time
+
+
+def classical_action(branch: Branch, traj: Trajectory,
+                     t: float | None = None) -> float:
+    """Classical action of the branch mean up to time t (J s).
+
+    S = int [ <p>^2/(2m) - V_ext(<z>) ] dt with the magnetic potential
+    V_ext,+- = +-lambda (g mu_B/2)(B0 - B0' <z>+-).  Exact segment-wise
+    polynomial integration; no quadrature.  The uniform-field part is kept
+    apart from the branch-symmetric rest (`action_parts`), so the branch
+    difference reduces to the single product B0 * int lambda dt and
+    cancels exactly at T5.
+    """
+    common, lam_time = action_parts(traj, t)
     return common - branch.sign * traj.E0 * lam_time

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgphase.gaussian import (integral_inv_q, integral_q, moments_from_a,
-                              propagate_a, regime_intervals, spread_P,
-                              spread_Q)
+from sgphase.gaussian import (_nuclear_crossing, integral_inv_q, integral_q,
+                              moments_from_a, propagate_a, regime_intervals,
+                              spread_P, spread_Q)
 from sgphase.params import (Branch, ConstantsSet, baseline_config, omega_s,
                             separation_time)
 from sgphase.phase import PhasePipeline
-from sgphase.potential import NUCLEAR_BOOST
+from sgphase.potential import NUCLEAR_BOOST, NUCLEON_SCALE
 from sgphase.trajectories import protocol_segments, separation_window
 
 nu_strategy = st.floats(min_value=0.05, max_value=1.0)
@@ -268,3 +268,53 @@ class TestRegimeIntervals:
         ivs_on = intervals(cfg, Branch.PLUS)
         ivs_off = intervals(baseline, Branch.PLUS)
         assert [iv.omega for iv in ivs_on] == [iv.omega for iv in ivs_off]
+
+
+HBAR = 1.0545718e-34
+
+
+class TestNuclearCrossing:
+    @pytest.mark.parametrize("q0_over_t, mass, rel", [
+        # Q = (T/4) cos^2 th + T (1 + 1e-8) sin^2 th (m from Q P = hbar^2/4)
+        # reaches T only within ~1e-4 rad of each peak th = pi/2 + k pi, far
+        # narrower than a scan step over ten half-periods: the crossing is
+        # the first peak's root
+        (0.25, HBAR / (NUCLEON_SCALE**2 * math.sqrt(1.0 + 1e-8)), 1e-12),
+        # with Q0 just below T the slope of Q at the root is so small that
+        # the rounding of the propagated Q takes thousands of ulps of t to
+        # clear
+        (1.0 - 12e-6, 5.5e-15, 1e-10),
+    ], ids=["narrow", "just-below-the-scale"])
+    def test_first_root(self, q0_over_t, mass, rel):
+        T = NUCLEON_SCALE**2
+        A0 = complex(0.5 / (q0_over_t * T), 0.0)
+        # alpha and beta as the crossing reads them
+        Q0, P0, _ = moments_from_a(A0, mass, HBAR)
+        beta = P0 / (mass * mass)
+        t = _nuclear_crossing(A0, 1.0, 1.0, mass, HBAR, 0.0, 10.0 * math.pi)
+        assert t == pytest.approx(math.atan(math.sqrt((T - Q0) / (beta - T))),
+                                  rel=rel)
+        assert moments_from_a(propagate_a(A0, 1.0, 1.0, mass, HBAR, t),
+                              mass, HBAR)[0] >= T
+
+    def test_free_packet_crossing(self):
+        # nu omega = 0: Q = Q0 + P0 tau^2 / m^2 from a sigma = 0 start
+        T = NUCLEON_SCALE**2
+        m = 5.5e-15
+        A0 = complex(0.5 / (T / 9.0), 0.0)
+        Q0, P0, _ = moments_from_a(A0, m, HBAR)
+        t = _nuclear_crossing(A0, 0.0, 1.0, m, HBAR, 0.0, 1.0)
+        assert t == pytest.approx(m * math.sqrt((T - Q0) / P0), rel=1e-12)
+        assert moments_from_a(propagate_a(A0, 0.0, 1.0, m, HBAR, t),
+                              m, HBAR)[0] >= T
+
+    def test_boosted_bounds_are_floats(self):
+        cfg = baseline_config(sqrt_Q0=1e-13, nuclear_correction=True)
+        pipe = PhasePipeline(cfg)
+        w0 = omega_s(cfg.sphere, cfg.constants)
+        for b in Branch:
+            ivs = pipe.branches[b].intervals
+            assert ivs[0].omega > w0   # the crossing path runs
+            for iv in ivs:
+                assert type(iv.t_lo) is float and type(iv.t_hi) is float
+        assert type(pipe.breakdown().delta_phi) is float

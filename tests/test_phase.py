@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 import sgphase.phase
 from sgphase import trajectories
-from sgphase.gaussian import integral_inv_q, integral_q
+from sgphase.gaussian import (integral_inv_q, integral_q, moments_from_a,
+                              propagate_a)
 from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
                             SphereParams, SpinWeights, baseline_config,
                             omega_s, separation_time, short_protocol_config,
@@ -17,6 +18,7 @@ from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
 from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
                            i2_difference_estimate, naive_estimate,
                            naive_estimate_two_term, phase_curve, radius_sweep)
+from sgphase.potential import NUCLEON_SCALE
 from sgphase.trajectories import (plateau_distance, protocol_segments,
                                   separation_window)
 
@@ -47,6 +49,17 @@ config_strategy = st.builds(
     st.integers(min_value=102, max_value=1024),   # T1 0.025-0.25 s
     st.floats(min_value=5.5, max_value=6.5),
     st.floats(min_value=-12.0, max_value=-9.0),
+)
+
+# config_strategy's ranges with the nuclear boost on and the packet
+# starting below the nucleon scale, sqrt(Q0) = 1e-14 - 9e-13 m
+boosted_strategy = st.builds(
+    lambda *args: replace(_random_config(*args), nuclear_correction=True),
+    st.floats(min_value=0.5e-6, max_value=2e-6),
+    st.floats(min_value=0.1, max_value=0.45),
+    st.integers(min_value=102, max_value=1024),
+    st.floats(min_value=5.5, max_value=6.5),
+    st.floats(min_value=-14.0, max_value=math.log10(9e-13)),
 )
 
 
@@ -281,6 +294,35 @@ class TestDeltaPhi:
         header = path.read_text().splitlines()[0]
         assert header == ("t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
                           "newton_diff,classical_diff")
+
+
+class TestNuclearBoost:
+    @given(boosted_strategy)
+    def test_boost_ends_where_the_packet_reaches_the_nucleon_scale(
+            self, config):
+        target = NUCLEON_SCALE**2
+        m, hbar = config.sphere.mass, config.constants.hbar
+        w0 = omega_s(config.sphere, config.constants)
+        pipe = PhasePipeline(config)
+        for b in Branch:
+            ivs = pipe.branches[b].intervals
+            assert ivs[0].omega > w0
+            for iv, nxt in zip(ivs, ivs[1:] + (None,)):
+                if iv.omega == w0:
+                    continue
+                # a boosted interval is always followed by an un-boosted one
+                assert nxt is not None and nxt.omega == w0
+
+                def q(t, iv=iv):
+                    a = propagate_a(iv.A_start, iv.nu, iv.omega, m, hbar,
+                                    t - iv.t_lo)
+                    return moments_from_a(a, m, hbar)[0]
+
+                assert q(iv.t_hi) >= target
+                assert moments_from_a(nxt.A_start, m, hbar)[0] >= target
+                span = iv.t_hi - iv.t_lo
+                assert all(q(iv.t_lo + k / 16.0 * span) < target
+                           for k in range(1, 16))
 
 
 class TestTrajectoryBuilds:
