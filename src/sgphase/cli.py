@@ -4,6 +4,11 @@ Outputs are deterministic for a fixed configuration: CSV bodies are
 byte-identical across repeat runs (full-precision scientific notation, no
 timestamps); summaries additionally carry the wall time, which is the only
 non-reproducible field.
+
+`contributions` is an alias of `baseline`: the same computation and the
+same results, with the phase curve (the accumulated delta_phi and its
+per-term contributions) written as contributions.csv instead of
+phase_curve.csv.
 """
 
 from __future__ import annotations
@@ -15,21 +20,21 @@ import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .gaussian import IntegrationError
 from .oracle import (GridEscapeError, PhaseUnwrapError, StepSizeError,
                      evolve_grid, scaled_config, scaled_grid_spec)
 from .params import (ExperimentConfig, baseline_config,
                      config_to_mapping, get_constants, load_config,
                      separation_time, short_protocol_config, validate)
 from .params import omega_s as omega_s_of
-from .phase import (PhasePipeline, fit_log_slope, i2_difference_estimate,
-                    naive_estimate, naive_estimate_two_term, phase_curve,
-                    radius_sweep)
+from .phase import (IntegrationError, PhasePipeline, fit_log_slope,
+                    i2_difference_estimate, naive_estimate,
+                    naive_estimate_two_term, phase_curve, radius_sweep)
 from .trajectories import plateau_distance
 
 SCENARIOS = ("baseline", "radius-sweep", "q0-sweep", "short-protocol",
@@ -100,13 +105,9 @@ def _phase_results(config: ExperimentConfig) -> dict:
     return out
 
 
-def _run_baseline(config: ExperimentConfig, out: Path) -> dict:
-    phase_curve(config).to_csv(out / "phase_curve.csv")
-    return _phase_results(config)
-
-
-def _run_contributions(config: ExperimentConfig, out: Path) -> dict:
-    phase_curve(config).to_csv(out / "contributions.csv")
+def _run_baseline(config: ExperimentConfig, out: Path,
+                  curve_csv: str = "phase_curve.csv") -> dict:
+    phase_curve(config).to_csv(out / curve_csv)
     return _phase_results(config)
 
 
@@ -126,8 +127,7 @@ def _run_q0_sweep(config: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_short_protocol(config: ExperimentConfig, out: Path) -> dict:
-    phase_curve(config).to_csv(out / "phase_curve.csv")
-    res = _phase_results(config)
+    res = _run_baseline(config, out)
     res["two_term_estimate_rad"] = naive_estimate_two_term(config)
     res["plateau_distance_m"] = plateau_distance(config)
     res["contact_distance_m"] = 2.0 * config.sphere.radius
@@ -186,7 +186,7 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
 
 _RUNNERS = {
     "baseline": _run_baseline,
-    "contributions": _run_contributions,
+    "contributions": partial(_run_baseline, curve_csv="contributions.csv"),
     "q0-sweep": _run_q0_sweep,
     "short-protocol": _run_short_protocol,
     "radius-sweep": _run_radius_sweep,
@@ -311,7 +311,9 @@ def main(argv=None) -> int:
         prog="sgphase",
         description="Self-gravity phase shift in a Stern-Gerlach "
                     "interferometer: scenario runner")
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=SCENARIOS,
+                        help="contributions is an alias of baseline that "
+                             "writes its phase curve as contributions.csv")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key=value configuration file")
     parser.add_argument("--out", metavar="DIR", default="out",

@@ -34,10 +34,6 @@ from .potential import NUCLEON_SCALE, effective_omega_s
 from .trajectories import _quadratic_roots
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive ODE step failed (step-size underflow / stiffness)."""
-
-
 # ---------------------------------------------------------------------------
 # closed-form propagation of A
 
@@ -75,37 +71,6 @@ def moments_from_a(A: complex, mass: float, hbar: float) -> tuple[float, float, 
     P = 0.5 * hbar * hbar * (re * re + im * im) / re
     sigma = -hbar * im * Q
     return Q, P, sigma
-
-
-# ---------------------------------------------------------------------------
-# closed-form spreads
-
-def spread_Q(t: float, nu: float, config: ExperimentConfig) -> float:
-    """Position variance Q(t) = Q0 cos^2(nu w t) + hbar^2 sin^2(nu w t) /
-    (4 m^2 w^2 nu^2 Q0) for constant nu from the ground state (m^2)."""
-    Q0 = config.initial.Q0
-    m = config.sphere.mass
-    hbar = config.constants.hbar
-    w = omega_s_of(config.sphere, config.constants)
-    if w == 0.0 or nu == 0.0:
-        return Q0 * (1.0 + (hbar * t / (2.0 * m * Q0)) ** 2)
-    th = nu * w * t
-    c, s = math.cos(th), math.sin(th)
-    return Q0 * c * c + (hbar * s) ** 2 / (4.0 * m * m * w * w * nu * nu * Q0)
-
-
-def spread_P(t: float, nu: float, config: ExperimentConfig) -> float:
-    """Momentum variance of the same packet ((kg m/s)^2)."""
-    Q0 = config.initial.Q0
-    m = config.sphere.mass
-    hbar = config.constants.hbar
-    w = omega_s_of(config.sphere, config.constants)
-    P0 = hbar * hbar / (4.0 * Q0)
-    if w == 0.0 or nu == 0.0:
-        return P0
-    th = nu * w * t
-    c, s = math.cos(th), math.sin(th)
-    return P0 * c * c + (m * w * nu) ** 2 * Q0 * s * s
 
 
 # ---------------------------------------------------------------------------

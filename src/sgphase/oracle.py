@@ -35,6 +35,10 @@ from .potential import effective_omega_s, v_eff
 from .trajectories import lambda_of_t, protocol_segments, separation_window
 
 
+# grid points on each side of <z> in the center-phase fit
+CENTER_HALF_WIDTH = 3
+
+
 class GridEscapeError(RuntimeError):
     """Probability mass reached the grid boundary."""
 
@@ -120,16 +124,16 @@ def extract_moments(state: GridState, hbar: float) -> Moments:
     return Moments(mean_z=mean_z, mean_p=mean_p, Q=Q, P=P)
 
 
-def center_phase(state: GridState, mean_z: np.ndarray,
-                 half_width: int = 3) -> np.ndarray:
+def center_phase(state: GridState, mean_z: np.ndarray) -> np.ndarray:
     """Phase of each row at its own center <z> (from extract_moments): a
-    quadratic fit to the local unwrapped phase around the grid point
-    nearest <z>, evaluated at <z>."""
+    quadratic fit to the local unwrapped phase over the 2 CENTER_HALF_WIDTH
+    + 1 grid points around the one nearest <z>, evaluated at <z>."""
     phases = []
     for psi, mz in zip(state.psi, mean_z):
         idx = int(round((mz - state.z[0]) / state.dz))
-        idx = min(max(idx, half_width), psi.size - half_width - 1)
-        sl = slice(idx - half_width, idx + half_width + 1)
+        idx = min(max(idx, CENTER_HALF_WIDTH),
+                  psi.size - CENTER_HALF_WIDTH - 1)
+        sl = slice(idx - CENTER_HALF_WIDTH, idx + CENTER_HALF_WIDTH + 1)
         coeffs = np.polyfit(state.z[sl] - mz, np.unwrap(np.angle(psi[sl])), 2)
         phases.append(np.polyval(coeffs, 0.0))
     return np.array(phases)

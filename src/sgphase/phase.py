@@ -21,12 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import (AnalyticBranch, IntegrationError, integral_inv_q,
-                       integral_q, regime_intervals)
+from .gaussian import (AnalyticBranch, integral_inv_q, integral_q,
+                       regime_intervals)
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
                      require_valid, separation_time)
-from .trajectories import (action_parts, branch_distance, lambda_integral,
-                           mean_state, protocol_segments, separation_window)
+from .trajectories import (action_parts, branch_distance, mean_state,
+                           protocol_segments, separation_window)
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class BranchPhase:
     i2: float
     const_self: float
     newton_cross: float
-
-    @property
-    def quantum_integral(self) -> float:
-        """int F_Q dt / hbar."""
-        return self.i1 + self.i2 + self.const_self + self.newton_cross
 
 
 @dataclass(frozen=True)
@@ -129,21 +124,6 @@ class PhasePipeline:
         self._hbar = c.hbar
 
     # -- quantum integral pieces -------------------------------------------
-
-    def f_quantum(self, branch: Branch, t: float) -> float:
-        """Instantaneous quantum phase-rate integrand F_Q (J)."""
-        ab = self.branches[branch]
-        iv = ab._interval(t)
-        Q = ab.q(t)
-        m = self._mass
-        c = self.config.constants
-        val = (c.hbar**2 / (4.0 * m * Q)
-               + 0.5 * m * iv.omega**2 * Q * iv.nu**2
-               - 1.2 * c.G * m * m / self.config.sphere.radius * iv.nu**2)
-        if iv.nu < 1.0 and c.G != 0.0:
-            val -= ((1.0 - iv.nu**2) * c.G * m * m
-                    / branch_distance(t, self.trajectory))
-        return val
 
     def _interval_sums(self, branch: Branch,
                        t: float) -> tuple[float, float, float]:
@@ -337,6 +317,13 @@ def phase_curve(config: ExperimentConfig, n_samples: int = 2000) -> PhaseCurve:
 # ---------------------------------------------------------------------------
 # adaptive-ODE cross-check of the closed forms
 
+ODE_RTOL = 1e-12
+
+
+class IntegrationError(RuntimeError):
+    """Adaptive ODE step failed (step-size underflow / stiffness)."""
+
+
 @dataclass(frozen=True)
 class OdeCrossCheck:
     """Quantum phases integrated through the width ODE instead of the
@@ -357,7 +344,7 @@ class OdeCrossCheck:
     delta_phi: float
 
 
-def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
+def delta_phi_ode(config: ExperimentConfig,
                   n_eval: int = 201) -> OdeCrossCheck:
     """Integrate dA/dt and dq/dt = F_Q/hbar per branch with an adaptive
     high-order scheme and reassemble the phase difference."""
@@ -408,7 +395,7 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
 
     t_eval = np.linspace(0.0, config.protocol.T5, n_eval)
     y = np.array([A0, 0.0, 0.0, A0, 0.0, 0.0])
-    atol = rtol * np.array([A0, A0, 1.0, A0, A0, 1.0])
+    atol = ODE_RTOL * np.array([A0, A0, 1.0, A0, A0, 1.0])
     ts, ys = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi <= lo:
@@ -419,7 +406,7 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
         inside = t_eval[(t_eval >= lo) & (t_eval < hi)]
         pts = np.unique(np.concatenate([inside, [lo, hi]]))
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", t_eval=pts,
-                        args=(nus, omegas), rtol=rtol, atol=atol)
+                        args=(nus, omegas), rtol=ODE_RTOL, atol=atol)
         if not sol.success:
             raise IntegrationError(f"phase ODE failed on [{lo}, {hi}]: "
                                    f"{sol.message}")
@@ -433,7 +420,7 @@ def delta_phi_ode(config: ExperimentConfig, rtol: float = 1e-12,
     q_plus, q_minus = y[2], y[5]
     # the uniform-field classical difference, zero at T5 by int lambda = 0
     b0_diff = -(c.g_factor * c.mu_B * config.protocol.B0 / hbar
-                ) * lambda_integral(config.protocol)
+                ) * action_parts(traj)[1]
     return OdeCrossCheck(
         t=t_all,
         A_plus=y_all[0] + 1j * y_all[1],

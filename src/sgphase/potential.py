@@ -37,33 +37,11 @@ def v_eff(d: float, sphere: SphereParams, constants: ConstantsSet) -> float:
     return -constants.G * m * m / d
 
 
-def v_eff_derivative(d: float, sphere: SphereParams,
-                     constants: ConstantsSet) -> float:
-    """dV/dd of v_eff (J/m), analytic on both branches."""
-    if d < 0.0:
-        raise ValueError(f"displacement must be >= 0, got {d}")
-    m, R = sphere.mass, sphere.radius
-    if d <= 2.0 * R:
-        x = d / R
-        return (constants.G * m * m / R**2) * (x - 9.0 / 16.0 * x**2
-                                               + 1.0 / 32.0 * x**4)
-    return constants.G * m * m / d**2
-
-
-def quadratic_v_eff(d: float, sphere: SphereParams,
-                    constants: ConstantsSet) -> float:
-    """Two-term truncation (G m^2/R)(-6/5 + (d/R)^2 / 2), valid for d << R."""
-    if d < 0.0:
-        raise ValueError(f"displacement must be >= 0, got {d}")
-    m, R = sphere.mass, sphere.radius
-    x = d / R
-    return (constants.G * m * m / R) * (-6.0 / 5.0 + 0.5 * x**2)
-
-
 def quadratic_truncation_error(d: float, sphere: SphereParams,
                                constants: ConstantsSet) -> float:
-    """Exact difference quadratic_v_eff - v_eff for d <= 2R: the dropped
-    cubic and quintic terms (3/16)(d/R)^3 - (1/160)(d/R)^5 times G m^2/R."""
+    """Exact excess of the two-term truncation (G m^2/R)(-6/5 + (d/R)^2/2)
+    over v_eff for d <= 2R: the dropped cubic and quintic terms
+    (3/16)(d/R)^3 - (1/160)(d/R)^5 times G m^2/R."""
     m, R = sphere.mass, sphere.radius
     if d > 2.0 * R:
         raise ValueError("truncation error formula applies to d <= 2R only")

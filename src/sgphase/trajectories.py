@@ -9,8 +9,8 @@ The plus branch accelerates toward +z during the first interval; the
 minus branch mirrors it exactly, <z>_-(t) = -<z>_+(t).
 
 `protocol_segments` builds a config's `Trajectory` once; the means, the
-branch distance, the separation window and the classical action are all
-read off that one value.
+branch distance and the separation window are all read off that one
+value.
 """
 
 from __future__ import annotations
@@ -164,29 +164,19 @@ def separation_window(traj: Trajectory) -> tuple[float, float] | None:
     return (t_enter, t_exit)
 
 
-def lambda_integral(protocol: Protocol, t: float | None = None) -> float:
-    """Time integral of lambda(t) up to t (default T5).
-
-    Vanishes at T5 for every protocol obeying the recombination constraint,
-    which is why the uniform-field B0 phase cancels at the end.
-    """
-    if t is None:
-        t = protocol.T5
-    bounds = (0.0,) + protocol.times
-    total = 0.0
-    for lam, lo, hi in zip(LAMBDAS, bounds[:-1], bounds[1:]):
-        if t <= lo:
-            break
-        total += lam * (min(t, hi) - lo)
-    return total
-
-
 def action_parts(traj: Trajectory,
                  t: float | None = None) -> tuple[float, float]:
     """The two parts of the classical action up to t (default T5), from
     one walk over the segments: the branch-symmetric kinetic and gradient
-    part (J s) and int lambda dt (s), which the uniform-field part
-    +-E0 int lambda dt multiplies.
+    part (J s) and int lambda dt (s).
+
+    The action of a branch mean is S = int [ <p>^2/(2m) - V_ext(<z>) ] dt
+    with the magnetic potential V_ext,+- = +-lambda (g mu_B/2)(B0 - B0'
+    <z>+-), so S+- = common -+ E0 int lambda dt.  Both parts are exact
+    segment-wise polynomial integrals; no quadrature.  The branch
+    difference reduces to the single product B0 * int lambda dt, which
+    vanishes at T5 for every protocol obeying the recombination constraint,
+    so the uniform-field phase cancels at the end.
     """
     T5 = traj.segments[-1].t_hi
     if t is None:
@@ -209,18 +199,3 @@ def action_parts(traj: Trajectory,
         common += kin + lam * F * zint
         lam_time += lam * tau
     return common, lam_time
-
-
-def classical_action(branch: Branch, traj: Trajectory,
-                     t: float | None = None) -> float:
-    """Classical action of the branch mean up to time t (J s).
-
-    S = int [ <p>^2/(2m) - V_ext(<z>) ] dt with the magnetic potential
-    V_ext,+- = +-lambda (g mu_B/2)(B0 - B0' <z>+-).  Exact segment-wise
-    polynomial integration; no quadrature.  The uniform-field part is kept
-    apart from the branch-symmetric rest (`action_parts`), so the branch
-    difference reduces to the single product B0 * int lambda dt and
-    cancels exactly at T5.
-    """
-    common, lam_time = action_parts(traj, t)
-    return common - branch.sign * traj.E0 * lam_time

@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from sgphase.gaussian import spread_Q
 from sgphase.oracle import evolve_grid, scaled_config, scaled_grid_spec
 from sgphase.params import (Branch, ConstantsSet, Protocol, SpinWeights,
                             baseline_config, omega_s, separation_time,
@@ -17,10 +16,11 @@ from sgphase.params import (Branch, ConstantsSet, Protocol, SpinWeights,
 from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
                            i2_difference_estimate, naive_estimate,
                            naive_estimate_two_term, radius_sweep)
-from sgphase.potential import (quadratic_truncation_error, quadratic_v_eff,
-                               v_eff, v_eff_derivative)
-from sgphase.trajectories import (classical_action, mean_state,
-                                  plateau_distance, protocol_segments)
+from sgphase.potential import quadratic_truncation_error, v_eff
+from sgphase.trajectories import (mean_state, plateau_distance,
+                                  protocol_segments)
+
+from reference import quadratic_v_eff, spread_Q, v_eff_derivative
 
 
 def verdict(num: int, text: str, passed: bool) -> None:
@@ -101,9 +101,8 @@ def test_criterion_07_classical_cancellation():
         protocol = Protocol.from_t1(k1 * 2.0**-12, hold=kh * 2.0**-12, B0=b0)
         cfg = replace(baseline_config(), protocol=protocol)
         assert validate(cfg).ok
-        traj, hbar = protocol_segments(cfg), cfg.constants.hbar
-        diff = abs(classical_action(Branch.PLUS, traj) / hbar
-                   - classical_action(Branch.MINUS, traj) / hbar)
+        bd = PhasePipeline(cfg).breakdown()
+        diff = abs(bd.plus.classical - bd.minus.classical)
         worst = max(worst, diff)
     ok = worst < 1e-10
     verdict(7, f"max |S_cl,+ - S_cl,-|/hbar = {worst:.2e} rad over 20 "
@@ -127,7 +126,7 @@ def test_criterion_08_trajectory_invariance():
 
 def test_criterion_09_analytic_vs_ode():
     cfg = baseline_config()
-    res = delta_phi_ode(cfg, rtol=1e-12, n_eval=101)
+    res = delta_phi_ode(cfg, n_eval=101)
     branches = {Branch.PLUS: res.A_plus, Branch.MINUS: res.A_minus}
     pipe = PhasePipeline(cfg)
     worst_a = 0.0
@@ -136,8 +135,13 @@ def test_criterion_09_analytic_vs_ode():
         for t, a_num in zip(res.t, a_ode):
             worst_a = max(worst_a, abs(ab.a(t) - a_num) / abs(a_num))
     bd = pipe.breakdown()
-    dq_plus = abs(res.quantum_plus - bd.plus.quantum_integral)
-    dq_minus = abs(res.quantum_minus - bd.minus.quantum_integral)
+    # int F_Q dt / hbar of each branch: the sum of its four itemized terms
+    dq_plus = abs(res.quantum_plus - (bd.plus.i1 + bd.plus.i2
+                                      + bd.plus.const_self
+                                      + bd.plus.newton_cross))
+    dq_minus = abs(res.quantum_minus - (bd.minus.i1 + bd.minus.i2
+                                        + bd.minus.const_self
+                                        + bd.minus.newton_cross))
     d_phi = abs(res.delta_phi - bd.delta_phi)
     ok = worst_a < 1e-8 and dq_plus < 1e-5 and dq_minus < 1e-5 \
         and d_phi < 1e-5

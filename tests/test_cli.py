@@ -186,6 +186,15 @@ class TestSweepScenarios:
         header = (out / "contributions.csv").read_text().splitlines()[0]
         assert "const_self_diff" in header and "newton_diff" in header
 
+    def test_contributions_is_an_alias_of_baseline(self, tmp_path):
+        base, contrib = tmp_path / "base", tmp_path / "contrib"
+        assert main(["baseline", "--out", str(base)]) == EXIT_OK
+        assert main(["contributions", "--out", str(contrib)]) == EXIT_OK
+        assert (contrib / "contributions.csv").read_bytes() == \
+            (base / "phase_curve.csv").read_bytes()
+        assert read_summary(contrib)["results"] == \
+            read_summary(base)["results"]
+
 
 class TestBuildId:
     def test_stable_and_config_sensitive(self):

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sgphase.gaussian import (_nuclear_crossing, integral_inv_q, integral_q,
-                              moments_from_a, propagate_a, regime_intervals,
-                              spread_P, spread_Q)
+                              moments_from_a, propagate_a, regime_intervals)
 from sgphase.params import (Branch, ConstantsSet, baseline_config, omega_s,
                             separation_time)
 from sgphase.phase import PhasePipeline
 from sgphase.potential import NUCLEAR_BOOST, NUCLEON_SCALE
 from sgphase.trajectories import protocol_segments, separation_window
+
+from reference import spread_P, spread_Q
 
 nu_strategy = st.floats(min_value=0.05, max_value=1.0)
 t_strategy = st.floats(min_value=0.0, max_value=2.0)

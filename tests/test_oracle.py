@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sgphase.oracle
-from sgphase.gaussian import AnalyticBranch, spread_Q
+from sgphase.gaussian import AnalyticBranch
 from sgphase.oracle import (GridEscapeError, GridSpec, Moments,
                             PhaseUnwrapError, StepSizeError,
                             _convolution_kernel, _segment_bounds,
@@ -17,8 +17,10 @@ from sgphase.oracle import (GridEscapeError, GridSpec, Moments,
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import (lambda_integral, mean_state,
+from sgphase.trajectories import (action_parts, mean_state,
                                   protocol_segments, separation_window)
+
+from reference import spread_Q
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +165,9 @@ class TestPhaseExtraction:
                       weights=SpinWeights(0.5, 0.5))
         c = cfg.constants
         run = evolve_grid(cfg, spec_small)
+        traj = protocol_segments(cfg)
         expected = np.array([-c.g_factor * c.mu_B * B0 / c.hbar
-                             * lambda_integral(cfg.protocol, t)
+                             * action_parts(traj, t)[1]
                              for t in run.t])
         assert float(np.abs(expected).max()) > 0.01
         np.testing.assert_allclose(run.delta_phi, expected, rtol=0,

@@ -10,7 +10,7 @@ from sgphase.params import (CONSTANTS, Branch, InitialState,
                             baseline_config, config_from_mapping,
                             config_to_mapping, get_constants, load_config,
                             omega_s, separation_time, validate)
-from sgphase.trajectories import lambda_integral
+from sgphase.trajectories import action_parts, protocol_segments
 
 
 def dyadic(k: int, scale: float = 2.0**-12) -> float:
@@ -124,7 +124,8 @@ class TestSeparationTime:
 class TestInvariants:
     @given(protocol_strategy)
     def test_lambda_integral_vanishes(self, protocol):
-        assert lambda_integral(protocol) == pytest.approx(0.0, abs=1e-15)
+        traj = protocol_segments(replace(baseline_config(), protocol=protocol))
+        assert action_parts(traj)[1] == pytest.approx(0.0, abs=1e-15)
 
     @given(st.floats(min_value=1e-15, max_value=1e-6))
     def test_omega_trap_identity(self, sqrt_q0):

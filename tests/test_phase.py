@@ -22,6 +22,8 @@ from sgphase.potential import NUCLEON_SCALE
 from sgphase.trajectories import (plateau_distance, protocol_segments,
                                   separation_window)
 
+from reference import f_quantum, spread_Q
+
 
 def without_gravity(config):
     c = config.constants
@@ -98,8 +100,8 @@ class TestFQuantum:
         w = omega_s(baseline.sphere, c)
         expected = (c.hbar**2 / (4 * m * Q0) + 0.5 * m * w * w * Q0
                     - 1.2 * c.G * m * m / baseline.sphere.radius)
-        assert PhasePipeline(baseline).f_quantum(
-            Branch.PLUS, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert f_quantum(PhasePipeline(baseline), Branch.PLUS,
+                         0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_plateau_newton_term(self, baseline):
         t = 1.0
@@ -107,7 +109,7 @@ class TestFQuantum:
         c = baseline.constants
         m = baseline.sphere.mass
         pipe = PhasePipeline(baseline)
-        with_n = pipe.f_quantum(Branch.PLUS, t)
+        with_n = f_quantum(pipe, Branch.PLUS, t)
         # rebuild without the cross term from the other pieces
         Q = pipe.branches[Branch.PLUS].q(t)
         nu2 = baseline.weights.beta_plus_sq
@@ -120,8 +122,8 @@ class TestFQuantum:
     def test_symmetric_weights_equal(self, baseline):
         pipe = PhasePipeline(replace(baseline, weights=SpinWeights(0.5, 0.5)))
         for t in (0.0, 0.2, 1.0, 1.9):
-            assert pipe.f_quantum(Branch.PLUS, t) == pipe.f_quantum(
-                Branch.MINUS, t)
+            assert f_quantum(pipe, Branch.PLUS, t) == f_quantum(
+                pipe, Branch.MINUS, t)
 
 
 class TestI1:
@@ -148,7 +150,6 @@ class TestI1:
 
 class TestI2:
     def test_against_quadrature(self, baseline):
-        from sgphase.gaussian import spread_Q
         c = baseline.constants
         m = baseline.sphere.mass
         w = omega_s(baseline.sphere, c)
@@ -216,8 +217,8 @@ class TestDeltaPhi:
         pipe = PhasePipeline(baseline)
 
         def integrand(t):
-            return (pipe.f_quantum(Branch.PLUS, t)
-                    - pipe.f_quantum(Branch.MINUS, t)) / c.hbar
+            return (f_quantum(pipe, Branch.PLUS, t)
+                    - f_quantum(pipe, Branch.MINUS, t)) / c.hbar
 
         val = 0.0
         bounds = [0.0] + pts + [baseline.protocol.T5]
@@ -349,14 +350,17 @@ class TestTrajectoryBuilds:
 
 class TestOdeCrossCheck:
     def test_matches_closed_form(self, baseline):
-        res = delta_phi_ode(baseline, rtol=1e-12, n_eval=41)
+        res = delta_phi_ode(baseline, n_eval=41)
         bd = PhasePipeline(baseline).breakdown()
         assert abs(res.delta_phi - bd.delta_phi) < 1e-5
-        assert abs(res.quantum_plus - bd.plus.quantum_integral) < 1e-5
-        assert abs(res.quantum_minus - bd.minus.quantum_integral) < 1e-5
+        # int F_Q dt / hbar of each branch: the sum of its four itemized terms
+        for q_ode, bp in ((res.quantum_plus, bd.plus),
+                          (res.quantum_minus, bd.minus)):
+            assert abs(q_ode - (bp.i1 + bp.i2 + bp.const_self
+                                + bp.newton_cross)) < 1e-5
 
     def test_a_agrees_with_analytic(self, baseline):
-        res = delta_phi_ode(baseline, rtol=1e-12, n_eval=41)
+        res = delta_phi_ode(baseline, n_eval=41)
         ab = PhasePipeline(baseline).branches[Branch.PLUS]
         rel = max(abs(ab.a(t) - a) / abs(a)
                   for t, a in zip(res.t, res.A_plus))

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from sgphase.params import SphereParams, get_constants
 from sgphase.potential import (NUCLEAR_BOOST, effective_omega_s,
-                               quadratic_truncation_error, quadratic_v_eff,
-                               v_eff, v_eff_derivative)
+                               quadratic_truncation_error, v_eff)
 from sgphase.params import omega_s
+
+from reference import quadratic_v_eff, v_eff_derivative
 
 PAPER = get_constants("paper")
 SPHERE = SphereParams(mass=5.5e-15, radius=1e-6)

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 
 from sgphase.params import (Branch, ConstantsSet, Protocol, SphereParams,
                             baseline_config, separation_time)
-from sgphase.trajectories import (branch_distance, classical_action,
-                                  lambda_integral, lambda_of_t, mean_state,
-                                  plateau_distance, protocol_segments,
-                                  separation_window)
+from sgphase.phase import PhasePipeline
+from sgphase.trajectories import (action_parts, branch_distance, lambda_of_t,
+                                  mean_state, plateau_distance,
+                                  protocol_segments, separation_window)
 
 times_strategy = st.floats(min_value=0.0, max_value=2.0)
 
@@ -25,6 +25,13 @@ def traj(baseline):
 def dyadic_protocol(k1: int, kh: int, b0: float = 0.0) -> Protocol:
     scale = 2.0**-12
     return Protocol.from_t1(k1 * scale, hold=kh * scale, B0=b0)
+
+
+def classical_phases(config, t=None):
+    """Classical action S/hbar of each branch mean up to t (rad), as the
+    shipped breakdown assembles it from `action_parts`."""
+    bd = PhasePipeline(config).breakdown(t)
+    return {Branch.PLUS: bd.plus.classical, Branch.MINUS: bd.minus.classical}
 
 
 class TestLambda:
@@ -51,11 +58,11 @@ class TestLambda:
         with pytest.raises(ValueError):
             lambda_of_t(2.5, baseline.protocol)
 
-    def test_partial_integral(self, baseline):
+    def test_partial_integral(self, baseline, traj):
         p = baseline.protocol
-        assert lambda_integral(p, p.T1) == pytest.approx(p.T1)
-        assert lambda_integral(p, p.T2) == pytest.approx(0.0, abs=1e-15)
-        assert lambda_integral(p) == pytest.approx(0.0, abs=1e-15)
+        assert action_parts(traj, p.T1)[1] == pytest.approx(p.T1)
+        assert action_parts(traj, p.T2)[1] == pytest.approx(0.0, abs=1e-15)
+        assert action_parts(traj)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMeanState:
@@ -189,10 +196,9 @@ class TestSeparationWindow:
 
 
 class TestClassicalAction:
-    def test_branches_equal_at_T5(self, traj):
-        s_plus = classical_action(Branch.PLUS, traj)
-        s_minus = classical_action(Branch.MINUS, traj)
-        assert s_plus == s_minus
+    def test_branches_equal_at_T5(self, baseline):
+        s = classical_phases(baseline)
+        assert s[Branch.PLUS] == s[Branch.MINUS]
 
     @given(st.integers(min_value=64, max_value=2048),
            st.integers(min_value=0, max_value=4096),
@@ -200,23 +206,21 @@ class TestClassicalAction:
     def test_branch_difference_vanishes(self, k1, kh, b0):
         cfg = replace(baseline_config(),
                       protocol=dyadic_protocol(k1, kh, b0))
-        traj, hbar = protocol_segments(cfg), cfg.constants.hbar
-        diff = (classical_action(Branch.PLUS, traj) / hbar
-                - classical_action(Branch.MINUS, traj) / hbar)
+        s = classical_phases(cfg)
+        diff = s[Branch.PLUS] - s[Branch.MINUS]
         assert abs(diff) < 1e-10
 
-    def test_uniform_field_part_cancels(self, baseline, traj):
+    def test_uniform_field_part_cancels(self, baseline):
         with_b0 = replace(baseline,
                           protocol=replace(baseline.protocol, B0=0.1))
-        assert classical_action(
-            Branch.PLUS, protocol_segments(with_b0)) == pytest.approx(
-            classical_action(Branch.PLUS, traj), rel=1e-12)
+        assert classical_phases(with_b0)[Branch.PLUS] == pytest.approx(
+            classical_phases(baseline)[Branch.PLUS], rel=1e-12)
 
     def test_zero_gradient_zero_action(self, baseline):
         p = baseline.protocol
         still = replace(baseline, protocol=replace(p, B0_grad=1e-300))
-        assert classical_action(
-            Branch.PLUS, protocol_segments(still)) == pytest.approx(
+        hbar = still.constants.hbar
+        assert classical_phases(still)[Branch.PLUS] * hbar == pytest.approx(
             0.0, abs=1e-250)
 
     def test_against_quadrature(self, baseline):
@@ -226,6 +230,7 @@ class TestClassicalAction:
         c = cfg.constants
         m = cfg.sphere.mass
         traj = protocol_segments(cfg)
+        s = classical_phases(cfg)
 
         def lagrangian(t, branch):
             z, p = mean_state(branch, t, traj)
@@ -238,8 +243,7 @@ class TestClassicalAction:
             val, err = quad(lagrangian, 0.0, cfg.protocol.T5, args=(branch,),
                             points=list(cfg.protocol.times[:4]), limit=200,
                             epsabs=1e-18, epsrel=1e-12)
-            assert classical_action(branch, traj) == pytest.approx(val,
-                                                                   rel=1e-9)
+            assert s[branch] == pytest.approx(val / c.hbar, rel=1e-9)
 
     def test_partial_time(self, baseline, traj):
         # kinetic-only check on the first segment: S(t) = F^2 t^3 / 6m + grad part
@@ -250,8 +254,8 @@ class TestClassicalAction:
         # gradient potential term: + int lam F z dt = F * alpha t^3 / 3
         alpha = F / (2.0 * m)
         grad = F * alpha * t**3 / 3.0
-        assert classical_action(Branch.PLUS, traj, t) == pytest.approx(
-            kin + grad, rel=1e-12)
+        assert classical_phases(baseline, t)[Branch.PLUS] == pytest.approx(
+            (kin + grad) / baseline.constants.hbar, rel=1e-12)
 
 
 class TestSegments:
