@@ -35,10 +35,7 @@ from .params import omega_s as omega_s_of
 from .phase import (IntegrationError, PhasePipeline, fit_log_slope,
                     i2_difference_estimate, naive_estimate,
                     naive_estimate_two_term, phase_curve, radius_sweep)
-from .trajectories import plateau_distance
-
-SCENARIOS = ("baseline", "radius-sweep", "q0-sweep", "short-protocol",
-             "oracle-compare", "contributions")
+from .trajectories import branch_distance
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -72,12 +69,14 @@ def _summary_base(scenario: str, config: ExperimentConfig) -> dict:
     }
 
 
-def _phase_results(config: ExperimentConfig) -> dict:
-    pipe = PhasePipeline(config)
+def _phase_results(pipe: PhasePipeline, curve_path: Path) -> dict:
+    """Write the phase curve of `pipe` to curve_path and return its
+    results at T5."""
+    phase_curve(pipe).to_csv(curve_path)
     bd = pipe.breakdown()
     out = {
         "delta_phi_T5_rad": bd.delta_phi,
-        "naive_estimate_rad": naive_estimate(config),
+        "naive_estimate_rad": naive_estimate(pipe.config),
         "terms": {
             "i1_diff": bd.i1_diff,
             "i2_diff": bd.i2_diff,
@@ -107,8 +106,7 @@ def _phase_results(config: ExperimentConfig) -> dict:
 
 def _run_baseline(config: ExperimentConfig, out: Path,
                   curve_csv: str = "phase_curve.csv") -> dict:
-    phase_curve(config).to_csv(out / curve_csv)
-    return _phase_results(config)
+    return _phase_results(PhasePipeline(config), out / curve_csv)
 
 
 def _run_q0_sweep(config: ExperimentConfig, out: Path) -> dict:
@@ -116,20 +114,21 @@ def _run_q0_sweep(config: ExperimentConfig, out: Path) -> dict:
     results = {}
     for s in sqrt_q0s:
         cfg = replace(config, initial=type(config.initial)(Q0=s * s))
-        if cfg.constants.name != config.constants.name:
-            raise ValueError("constants sets must not vary across a sweep")
         tag = f"{s:.0e}"
-        phase_curve(cfg).to_csv(out / f"contributions_q0_{tag}.csv")
-        res = _phase_results(cfg)
+        res = _phase_results(PhasePipeline(cfg),
+                             out / f"contributions_q0_{tag}.csv")
         res["i2_difference_estimate_rad"] = i2_difference_estimate(cfg)
         results[tag] = res
     return {"per_sqrt_Q0": results}
 
 
 def _run_short_protocol(config: ExperimentConfig, out: Path) -> dict:
-    res = _run_baseline(config, out)
+    pipe = PhasePipeline(config)
+    res = _phase_results(pipe, out / "phase_curve.csv")
     res["two_term_estimate_rad"] = naive_estimate_two_term(config)
-    res["plateau_distance_m"] = plateau_distance(config)
+    # branch distance on the hold plateau [T2, T3]
+    res["plateau_distance_m"] = branch_distance(config.protocol.T2,
+                                                pipe.trajectory)
     res["contact_distance_m"] = 2.0 * config.sphere.radius
     res["plateau_to_contact_ratio"] = (res["plateau_distance_m"]
                                        / res["contact_distance_m"])
@@ -155,11 +154,10 @@ def _run_radius_sweep(config: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
-    cfg = scaled_config()
     spec = scaled_grid_spec()
-    pipe = PhasePipeline(cfg)
+    pipe = PhasePipeline(config)
     closed = pipe.breakdown().delta_phi
-    run = evolve_grid(cfg, spec)
+    run = evolve_grid(config, spec)
     # (n, 2) histories, columns plus and minus as in run.moments
     q_closed = np.array([[ab.q(t) for ab in pipe.branches.values()]
                          for t in run.t])
@@ -172,8 +170,9 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
             f.write(",".join(_fmt(x) for x in row) + "\n")
     q_rel = float(np.max(np.abs(q_grid - q_closed) / q_closed))
     return {
-        "scaled_constants": cfg.constants.name,
-        "omega_s_T5": omega_s_of(cfg.sphere, cfg.constants) * cfg.protocol.T5,
+        "scaled_constants": config.constants.name,
+        "omega_s_T5": (omega_s_of(config.sphere, config.constants)
+                       * config.protocol.T5),
         "grid_points": spec.n,
         "delta_phi_closed_rad": closed,
         "delta_phi_grid_rad": run.delta_phi_final,
@@ -192,6 +191,7 @@ _RUNNERS = {
     "radius-sweep": _run_radius_sweep,
     "oracle-compare": _run_oracle_compare,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def _require_finite(node, path: str = "results") -> None:
@@ -295,7 +295,7 @@ def _build_config(args) -> ExperimentConfig:
     if args.scenario == "short-protocol":
         cfg = short_protocol_config(args.constants)
     elif args.scenario == "oracle-compare":
-        cfg = scaled_config()  # fixed desk-scale setup; --config ignored below
+        cfg = scaled_config()  # fixed desk-scale setup; takes no --config
     else:
         cfg = baseline_config(args.constants)
     if args.config is not None:
@@ -331,13 +331,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if args.scenario != "oracle-compare":
-        report = validate(config)
-        if not report.ok:
-            print("error: configuration invalid:", file=sys.stderr)
-            for v in report.violations:
-                print(f"  - {v}", file=sys.stderr)
-            return EXIT_VALIDATION
+    report = validate(config)
+    if not report.ok:
+        print("error: configuration invalid:", file=sys.stderr)
+        for v in report.violations:
+            print(f"  - {v}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     try:
         summary = run_scenario(args.scenario, config, args.out)

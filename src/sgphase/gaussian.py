@@ -3,10 +3,10 @@
 Each branch stays Gaussian, psi = exp(-A z^2/2 + B z + C), because its
 potential is at most quadratic in z.  The width coefficient A obeys a
 Riccati equation i dA/dt = (hbar/m) A^2 - 2 V2/hbar whose solution under a
-constant harmonic curvature V2 = (m/2)(nu omega_s)^2 ... nu^2 is known in
-closed form; B and C follow by quadrature.  The closed form is evaluated
-here in a cancellation-free rational-trigonometric arrangement that
-degenerates smoothly to the free-packet law as omega_s -> 0.
+constant harmonic curvature V2 = (m/2)(nu omega)^2 is known in closed
+form; B and C follow by quadrature.  The closed form is evaluated here in
+a cancellation-free rational-trigonometric arrangement that degenerates
+smoothly to the free-packet law as nu omega -> 0.
 
 The piecewise regime structure (packet overlap vs separation, optional
 nuclear pulsation boost) is handled by chaining the closed form across

@@ -5,17 +5,18 @@ Steiger, J. Comput. Phys. 47, 412, 1982; Strang, SIAM J. Numer. Anal. 5,
 506, 1968): kinetic propagation in spectral space, potential propagation
 in position space, with the branch self-potential rebuilt every step from
 the instantaneous moments of the grid state (means, spreads, inter-branch
-distance).  The state of both branches is one (2, N) array, rows plus and
-minus (see GridRun); the step, the moments, the center phases and the
-recorded histories all work row-wise on that one layout.  A step costs
-one forward and one inverse FFT; the closing kinetic half-kick of a step
-and the opening half-kick of the next are merged into one full kick.  The
-potential kick is one real cos/sin evaluation of the phase V dt/hbar,
-written with the potential, densities and kinetic product into buffers
-allocated once per run, so a step allocates only its two FFT results.
-Nothing here reuses the Gaussian closed forms, so agreement on spreads
-and on the final phase difference validates the analytic pipeline end to
-end.
+distance).  The gradient sign lambda and the Stern-Gerlach row of the
+potential are set once per segment piece (`_segment_bounds`).  The state
+of both branches is one (2, N) array, rows plus and minus (see GridRun);
+the step, the moments, the center phases and the recorded histories all
+work row-wise on that one layout.  A step costs one forward and one
+inverse FFT; the closing kinetic half-kick of a step and the opening
+half-kick of the next are merged into one full kick.  The potential kick
+is one real cos/sin evaluation of the phase V dt/hbar, written with the
+potential, densities and kinetic product into buffers allocated once per
+run, so a step allocates only its two FFT results.  Nothing here reuses
+the Gaussian closed forms, so agreement on spreads and on the final phase
+difference validates the analytic pipeline end to end.
 
 The physical baseline is not grid-tractable (packet separation ~2e-4 m
 against a 1e-9 m width), so cross-checks run at a scaled configuration in
@@ -32,7 +33,7 @@ import numpy as np
 from .params import Branch, ConstantsSet, ExperimentConfig, InitialState, \
     Protocol, SphereParams, SpinWeights
 from .potential import effective_omega_s, v_eff
-from .trajectories import lambda_of_t, protocol_segments, separation_window
+from .trajectories import protocol_segments, separation_window
 
 
 # grid points on each side of <z> in the center-phase fit
@@ -189,12 +190,19 @@ class GridRun:
         return float(self.delta_phi[-1])
 
 
-def _segment_bounds(config: ExperimentConfig) -> list[float]:
-    pts = {0.0, *config.protocol.times}
-    window = separation_window(protocol_segments(config))
-    if window is not None:
-        pts.update(window)
-    return sorted(p for p in pts if 0.0 <= p <= config.protocol.T5)
+def _segment_bounds(
+        config: ExperimentConfig) -> list[tuple[float, float, int]]:
+    """(t_lo, t_hi, lambda) pieces chaining 0 to T5: the segments of the
+    config's trajectory, split at the ends of its separation window, so
+    the gradient sign and the overlap regime are constant on each."""
+    traj = protocol_segments(config)
+    cuts = separation_window(traj) or ()
+    pieces = []
+    for seg in traj.segments:
+        pts = sorted({seg.t_lo, seg.t_hi,
+                      *(c for c in cuts if seg.t_lo < c < seg.t_hi)})
+        pieces += [(lo, hi, seg.lam) for lo, hi in zip(pts[:-1], pts[1:])]
+    return pieces
 
 
 def _position_moments(z: np.ndarray, w: np.ndarray,
@@ -222,11 +230,12 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     in spectral space, potential kick at the half step in position space,
     kinetic half-kick.  Both branches are one (2, N) array, rows in the
     order GridRun states, so a step costs one inverse and one forward FFT.
-    Within a protocol segment the closing half-kick of a step and the
+    The sign lambda and the Stern-Gerlach row are set once per piece of
+    `_segment_bounds`.  Within a piece the closing half-kick of a step and the
     opening half-kick of the next are merged into one full kick
-    exp(-i hbar k^2 dt/2m).  A segment opens with a half-kick (dt changes
-    at segment bounds), and a snapshot step (every snapshot_stride-th step
-    and the last step of each segment) closes with one, so health checks,
+    exp(-i hbar k^2 dt/2m).  A piece opens with a half-kick (dt changes
+    at piece bounds), and a snapshot step (every snapshot_stride-th step
+    and the last step of each piece) closes with one, so health checks,
     recorded moments and phases all see full-step states; the next step
     goes on from the same spectrum with the full kick.  Between snapshots
     the potential needs only <z> and Q, taken from |psi|^2 in position
@@ -239,7 +248,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     complex one.  That buffer, the potential, |psi|^2 and the kinetic
     product are allocated once per run, so a step allocates only the
     results of its two FFTs.  The snapshot state is an array of its own:
-    the next segment restarts from it and it is the returned final state.
+    the next piece restarts from it and it is the returned final state.
 
     full_convolution replaces the quadratic overlap-regime self-potential
     with the exact convolution against v_eff.
@@ -286,10 +295,10 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
     max_drift = 0.0
     n_steps = 0
 
-    def potential(t_mid: float, mean_z, Q, dens: np.ndarray | None):
-        """(2, N) potential of the plus and minus rows at t_mid, written
-        into v, from each row's <z> and Q; dens are the (2, N) densities
-        for the convolution."""
+    def potential(mean_z, Q, dens: np.ndarray | None):
+        """(2, N) potential of the plus and minus rows, written into v,
+        from each row's <z> and Q and the current piece's Stern-Gerlach
+        row sg; dens are the (2, N) densities for the convolution."""
         d = abs(mean_z[0] - mean_z[1])
         overlap = d <= 2.0 * R
         if full_convolution and overlap and dens is not None:
@@ -311,8 +320,6 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
                 np.square(vr, out=vr)
                 vr *= nu2 * curv
                 vr += offset
-        np.multiply(field, lambda_of_t(t_mid, config.protocol) * sg_half,
-                    out=sg)
         v[0] += sg
         v[1] -= sg
         return v
@@ -346,8 +353,10 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         return snap
 
     state = record(initial_grid_state(config, spec))
-    bounds = [b for b in _segment_bounds(config) if b < t_end] + [t_end]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    pieces = [(lo, min(hi, t_end), lam)
+              for lo, hi, lam in _segment_bounds(config) if lo < t_end]
+    for lo, hi, lam in pieces:
+        np.multiply(field, lam * sg_half, out=sg)
         n_sub = math.ceil((hi - lo) / spec.dt)
         dt = (hi - lo) / n_sub
         kin_half = np.exp(-1j * hbar * k * k * dt / (4.0 * m))
@@ -355,10 +364,9 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         # splitting sanity: the potential multiplier must not alias, i.e.
         # its phase advance per step must vary by well under pi between
         # neighboring cells (uniform and linear offsets are harmless).  A
-        # segment starts on the last recorded state, so its moments are
-        # the last recorded ones.
-        vtest = potential(lo + 0.5 * dt, history[-1].mean_z, history[-1].Q,
-                          None)
+        # piece starts on the last recorded state, so its moments are the
+        # last recorded ones.
+        vtest = potential(history[-1].mean_z, history[-1].Q, None)
         cell_jump = float(np.max(np.abs(np.diff(vtest, axis=1)))) * dt / hbar
         if cell_jump > 0.5 * math.pi:
             raise StepSizeError(
@@ -381,7 +389,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
             np.multiply(psi.imag, psi.imag, out=theta)
             w += theta
             mean_z, Q = _position_moments(z, w, theta)
-            potential(t0 + 0.5 * dt, mean_z, Q, w)
+            potential(mean_z, Q, w)
             # kick exp(-i v dt/hbar) = cos(theta) + i sin(theta)
             np.multiply(v, phase_per_v, out=theta)
             np.cos(theta, out=kick.real)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import (AnalyticBranch, integral_inv_q, integral_q,
-                       regime_intervals)
+from .gaussian import AnalyticBranch, integral_inv_q, integral_q
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
                      require_valid, separation_time)
 from .trajectories import (action_parts, branch_distance, mean_state,
@@ -297,9 +296,10 @@ class PhaseCurve:
                 f.write(",".join(format(x, ".17e") for x in row) + "\n")
 
 
-def phase_curve(config: ExperimentConfig, n_samples: int = 2000) -> PhaseCurve:
-    pipe = PhasePipeline(config)
-    ts = np.linspace(0.0, config.protocol.T5, n_samples)
+def phase_curve(pipe: PhasePipeline, n_samples: int = 2000) -> PhaseCurve:
+    """The breakdown of `pipe` at n_samples even times on [0, T5]; only
+    samples the given pipeline and builds nothing."""
+    ts = np.linspace(0.0, pipe.config.protocol.T5, n_samples)
     cols = {k: np.empty(n_samples) for k in
             ("delta_phi", "i1_diff", "i2_diff", "const_self_diff",
              "newton_diff", "classical_diff")}
@@ -347,20 +347,20 @@ class OdeCrossCheck:
 def delta_phi_ode(config: ExperimentConfig,
                   n_eval: int = 201) -> OdeCrossCheck:
     """Integrate dA/dt and dq/dt = F_Q/hbar per branch with an adaptive
-    high-order scheme and reassemble the phase difference."""
+    high-order scheme and reassemble the phase difference.  The trajectory
+    and the regime intervals are read from the config's PhasePipeline."""
     # imported here: no other path needs scipy, and it is most of the
     # package's import time and resident memory
     from scipy.integrate import solve_ivp
 
-    require_valid(config)
+    pipe = PhasePipeline(config)
     m = config.sphere.mass
     c = config.constants
     hbar = c.hbar
     G = c.G
     R = config.sphere.radius
-    traj = protocol_segments(config)
-    window = separation_window(traj)
-    reg = {b: regime_intervals(config, b, window) for b in Branch}
+    traj = pipe.trajectory
+    reg = {b: pipe.branches[b].intervals for b in Branch}
     A0 = 0.5 / config.initial.Q0
 
     bounds = sorted({0.0, config.protocol.T5,

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .params import Branch, ExperimentConfig, Protocol
+from .params import Branch, ExperimentConfig
 
 # gradient sign on the five protocol intervals [0,T1], ..., [T4,T5]
 LAMBDAS = (1, -1, 0, -1, 1)
@@ -73,28 +73,6 @@ def protocol_segments(config: ExperimentConfig) -> Trajectory:
         mom = mom + lam * F * tau
     return Trajectory(segments=tuple(segs), m=m, F=F, E0=half_g_mu * p.B0,
                       R=config.sphere.radius)
-
-
-def lambda_of_t(t: float, protocol: Protocol) -> int:
-    """Gradient sign schedule.
-
-    +1 on [0,T1] and [T4,T5], 0 on [T2,T3], -1 on (T1,T2) and (T3,T4).
-    Boundary values are fixed as lambda(T1)=+1, lambda(T2)=lambda(T3)=0,
-    lambda(T4)=-1; the choice is observationally irrelevant (measure zero)
-    but pinned for reproducibility.
-    """
-    T1, T2, T3, T4, T5 = protocol.times
-    if t < 0.0 or t > T5:
-        raise ValueError(f"t={t} outside protocol range [0, {T5}]")
-    if t <= T1:
-        return 1
-    if t < T2:
-        return -1
-    if t <= T3:
-        return 0
-    if t <= T4:
-        return -1
-    return 1
 
 
 def mean_state(branch: Branch, t: float,

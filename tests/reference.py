@@ -19,6 +19,9 @@ use, written out directly rather than through the closed-form pipeline.
 - `quadratic_v_eff`: the paper's second-order truncation
   (G m^2/R)(-6/5 + (d/R)^2/2) of that energy for narrow packets, whose
   curvature gives the pulsation omega_s = sqrt(G m / R^3).
+- `lambda_of_t`: the gradient sign schedule of the protocol, written as
+  an if-ladder over the protocol times rather than read off the
+  trajectory's segments.
 - `f_quantum`: the phase-rate integrand of one branch,
 
       F_Q = hbar^2/(4 m Q) + (m omega_s^2/2) Q nu^2
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 
 from sgphase.params import (Branch, ConstantsSet, ExperimentConfig,
-                            SphereParams, omega_s)
+                            Protocol, SphereParams, omega_s)
 from sgphase.phase import PhasePipeline
 from sgphase.trajectories import branch_distance
 
@@ -87,6 +90,28 @@ def quadratic_v_eff(d: float, sphere: SphereParams,
     m, R = sphere.mass, sphere.radius
     x = d / R
     return (constants.G * m * m / R) * (-6.0 / 5.0 + 0.5 * x**2)
+
+
+def lambda_of_t(t: float, protocol: Protocol) -> int:
+    """Gradient sign schedule.
+
+    +1 on [0,T1] and [T4,T5], 0 on [T2,T3], -1 on (T1,T2) and (T3,T4).
+    Boundary values are fixed as lambda(T1)=+1, lambda(T2)=lambda(T3)=0,
+    lambda(T4)=-1; the choice is observationally irrelevant (measure zero)
+    but pinned for reproducibility.
+    """
+    T1, T2, T3, T4, T5 = protocol.times
+    if t < 0.0 or t > T5:
+        raise ValueError(f"t={t} outside protocol range [0, {T5}]")
+    if t <= T1:
+        return 1
+    if t < T2:
+        return -1
+    if t <= T3:
+        return 0
+    if t <= T4:
+        return -1
+    return 1
 
 
 def f_quantum(pipe: PhasePipeline, branch: Branch, t: float) -> float:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import sgphase.cli
+import sgphase.phase
+import sgphase.trajectories
 from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VALIDATION, build_id, compare, main,
                          run_scenario)
@@ -194,6 +196,33 @@ class TestSweepScenarios:
             (base / "phase_curve.csv").read_bytes()
         assert read_summary(contrib)["results"] == \
             read_summary(base)["results"]
+
+
+class TestOneBuildPerConfig:
+    @pytest.mark.parametrize("scenario, n_configs", [
+        ("baseline", 1), ("short-protocol", 1), ("q0-sweep", 3)])
+    def test_one_pipeline_and_trajectory_per_config(
+            self, tmp_path, monkeypatch, scenario, n_configs):
+        # the pipeline that writes a config's phase curve also gives its
+        # T5 results and the plateau distance
+        pipelines, trajectories = [], []
+        init = PhasePipeline.__init__
+        build = sgphase.trajectories.protocol_segments
+
+        def counted_init(self, config):
+            pipelines.append(config)
+            init(self, config)
+
+        def counted_build(config):
+            trajectories.append(config)
+            return build(config)
+
+        monkeypatch.setattr(PhasePipeline, "__init__", counted_init)
+        for module in (sgphase.phase, sgphase.trajectories):
+            monkeypatch.setattr(module, "protocol_segments", counted_build)
+        assert main([scenario, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(pipelines) == n_configs
+        assert len(trajectories) == n_configs
 
 
 class TestBuildId:

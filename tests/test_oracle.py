@@ -20,7 +20,7 @@ from sgphase.phase import PhasePipeline
 from sgphase.trajectories import (action_parts, mean_state,
                                   protocol_segments, separation_window)
 
-from reference import spread_Q
+from reference import lambda_of_t, spread_Q
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,27 @@ class TestScaledCrossCheck:
             assert 3.0 <= coarse / fine <= 5.0
 
 
+class TestSegmentBounds:
+    @pytest.mark.parametrize("which", ["scaled", "baseline"])
+    def test_pieces_chain_and_carry_their_segment_lambda(self, request,
+                                                         which):
+        config = request.getfixturevalue(which)
+        traj = protocol_segments(config)
+        pieces = _segment_bounds(config)
+        assert pieces[0][0] == 0.0
+        assert pieces[-1][1] == config.protocol.T5
+        for (_, hi, _), (lo, _, _) in zip(pieces[:-1], pieces[1:]):
+            assert hi == lo
+        for lo, hi, lam in pieces:
+            assert lo < hi
+            (seg,) = [s for s in traj.segments
+                      if s.t_lo <= lo and hi <= s.t_hi]
+            assert lam == seg.lam
+            assert lam == lambda_of_t(0.5 * (lo + hi), config.protocol)
+        # the separation window's ends are piece bounds
+        assert set(separation_window(traj)) <= {lo for lo, _, _ in pieces}
+
+
 class TestRegressionPin:
     @pytest.mark.parametrize("B0", [0.0, 1.0])
     def test_scaled_run_pinned(self, scaled, spec_small, B0):
@@ -236,7 +257,7 @@ class TestRegressionPin:
         # a run stopped at a segment bound ends on a snapshot, and the full
         # run restarts the next segment from that same snapshot state, so
         # the short run is bitwise the head of the full one
-        t_end = _segment_bounds(scaled)[bound]
+        t_end = _segment_bounds(scaled)[bound][0]
         full = evolve_grid(scaled, spec_small)
         head = evolve_grid(scaled, spec_small, t_end=t_end)
         n = len(head.t)

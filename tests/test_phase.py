@@ -280,16 +280,17 @@ class TestDeltaPhi:
         assert b == pytest.approx(a, rel=1e-6)
 
     def test_curve_starts_at_zero_and_lands_on_final(self, baseline):
-        curve = phase_curve(baseline, n_samples=51)
+        pipe = PhasePipeline(baseline)
+        curve = phase_curve(pipe, n_samples=51)
         assert curve.delta_phi[0] == 0.0
-        assert curve.delta_phi[-1] == pytest.approx(
-            PhasePipeline(baseline).delta_phi(), rel=1e-12)
+        assert curve.delta_phi[-1] == pytest.approx(pipe.delta_phi(),
+                                                    rel=1e-12)
         assert curve.const_self_diff[-1] == pytest.approx(-15.5948, rel=1e-3)
         # constant self-energy contribution decreases monotonically
         assert np.all(np.diff(curve.const_self_diff) <= 1e-15)
 
     def test_csv_columns(self, baseline, tmp_path):
-        curve = phase_curve(baseline, n_samples=5)
+        curve = phase_curve(PhasePipeline(baseline), n_samples=5)
         path = tmp_path / "curve.csv"
         curve.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -329,7 +330,7 @@ class TestNuclearBoost:
 class TestTrajectoryBuilds:
     def test_one_trajectory_per_config(self, baseline, monkeypatch):
         # the pipeline builds the trajectory once; every later breakdown
-        # and every phase_curve sample only reads it
+        # and every phase_curve sample of that pipeline only reads it
         builds = []
         build = trajectories.protocol_segments
 
@@ -344,8 +345,8 @@ class TestTrajectoryBuilds:
         for frac in (1.0, 0.3, 0.61):
             pipe.breakdown(frac * baseline.protocol.T5)
         assert len(builds) == 1
-        phase_curve(baseline)
-        assert len(builds) == 2
+        phase_curve(pipe)
+        assert len(builds) == 1
 
 
 class TestOdeCrossCheck:

@@ -10,9 +10,11 @@ from scipy.integrate import quad
 from sgphase.params import (Branch, ConstantsSet, Protocol, SphereParams,
                             baseline_config, separation_time)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import (action_parts, branch_distance, lambda_of_t,
-                                  mean_state, plateau_distance,
-                                  protocol_segments, separation_window)
+from sgphase.trajectories import (action_parts, branch_distance, mean_state,
+                                  plateau_distance, protocol_segments,
+                                  separation_window)
+
+from reference import lambda_of_t
 
 times_strategy = st.floats(min_value=0.0, max_value=2.0)
 
