@@ -1,8 +1,9 @@
 """Scenario runner: named experiments, CSV/JSON artifacts, expectation checks.
 
 Outputs are deterministic for a fixed configuration: CSV bodies are
-byte-identical across repeat runs (full-precision scientific notation, no
-timestamps); summaries additionally carry the wall time, which is the only
+byte-identical across repeat runs (every CSV is written by
+`phase.write_csv`, which sets the number format; no timestamps);
+summaries additionally carry the wall time, which is the only
 non-reproducible field.
 
 `contributions` is an alias of `baseline`: the same computation and the
@@ -32,9 +33,10 @@ from .params import (ExperimentConfig, baseline_config,
                      config_to_mapping, get_constants, load_config,
                      separation_time, short_protocol_config, validate)
 from .params import omega_s as omega_s_of
-from .phase import (IntegrationError, PhasePipeline, fit_log_slope,
-                    i2_difference_estimate, naive_estimate,
-                    naive_estimate_two_term, phase_curve, radius_sweep)
+from .phase import (CURVE_TERMS, IntegrationError, PhasePipeline,
+                    fit_log_slope, i2_difference_estimate, naive_estimate,
+                    naive_estimate_two_term, phase_curve, radius_sweep,
+                    write_csv)
 from .trajectories import branch_distance
 
 EXIT_OK = 0
@@ -42,9 +44,10 @@ EXIT_COMPARE_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17e")
+# the PhaseBreakdown differences and BranchPhase terms a summary reports:
+# the phase curve's terms plus the boundary term
+_SUMMARY_TERMS = (*CURVE_TERMS[1:], "boundary_diff")
+_BRANCH_TERMS = ("i1", "i2", "const_self", "newton_cross", "classical")
 
 
 def build_id(config: ExperimentConfig) -> str:
@@ -77,26 +80,9 @@ def _phase_results(pipe: PhasePipeline, curve_path: Path) -> dict:
     out = {
         "delta_phi_T5_rad": bd.delta_phi,
         "naive_estimate_rad": naive_estimate(pipe.config),
-        "terms": {
-            "i1_diff": bd.i1_diff,
-            "i2_diff": bd.i2_diff,
-            "const_self_diff": bd.const_self_diff,
-            "newton_diff": bd.newton_diff,
-            "classical_diff": bd.classical_diff,
-            "boundary_diff": bd.boundary_diff,
-        },
-        "branch_plus": {
-            "i1": bd.plus.i1, "i2": bd.plus.i2,
-            "const_self": bd.plus.const_self,
-            "newton_cross": bd.plus.newton_cross,
-            "classical": bd.plus.classical,
-        },
-        "branch_minus": {
-            "i1": bd.minus.i1, "i2": bd.minus.i2,
-            "const_self": bd.minus.const_self,
-            "newton_cross": bd.minus.newton_cross,
-            "classical": bd.minus.classical,
-        },
+        "terms": {k: getattr(bd, k) for k in _SUMMARY_TERMS},
+        "branch_plus": {k: getattr(bd.plus, k) for k in _BRANCH_TERMS},
+        "branch_minus": {k: getattr(bd.minus, k) for k in _BRANCH_TERMS},
     }
     if abs(out["naive_estimate_rad"]) > 0:
         out["ratio_delta_phi_to_naive"] = (out["delta_phi_T5_rad"]
@@ -138,12 +124,9 @@ def _run_short_protocol(config: ExperimentConfig, out: Path) -> dict:
 def _run_radius_sweep(config: ExperimentConfig, out: Path) -> dict:
     radii = [float(r) for r in np.geomspace(0.5e-6, 2e-6, 9)]
     points = radius_sweep(config, radii)
-    with open(out / "radius_sweep.csv", "w") as f:
-        f.write("radius_m,mass_kg,delta_phi_rad,error\n")
-        for p in points:
-            dp = _fmt(p.delta_phi) if p.delta_phi is not None else ""
-            err = p.error or ""
-            f.write(f"{_fmt(p.radius)},{_fmt(p.mass)},{dp},{err}\n")
+    write_csv(out / "radius_sweep.csv", "radius_m,mass_kg,delta_phi_rad,error",
+              ((p.radius, p.mass, "" if p.delta_phi is None else p.delta_phi,
+                p.error or "") for p in points))
     slope = fit_log_slope(points)
     return {
         "n_points": len(points),
@@ -162,12 +145,11 @@ def _run_oracle_compare(config: ExperimentConfig, out: Path) -> dict:
     q_closed = np.array([[ab.q(t) for ab in pipe.branches.values()]
                          for t in run.t])
     q_grid = run.moments.Q
-    with open(out / "oracle_compare.csv", "w") as f:
-        f.write("t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,Q_minus_closed,"
-                "delta_phi_grid\n")
-        for t, qg, qc, dphi in zip(run.t, q_grid, q_closed, run.delta_phi):
-            row = (t, qg[0], qc[0], qg[1], qc[1], dphi)
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    write_csv(out / "oracle_compare.csv",
+              "t_s,Q_plus_grid,Q_plus_closed,Q_minus_grid,Q_minus_closed,"
+              "delta_phi_grid",
+              ((t, qg[0], qc[0], qg[1], qc[1], dphi) for t, qg, qc, dphi
+               in zip(run.t, q_grid, q_closed, run.delta_phi)))
     q_rel = float(np.max(np.abs(q_grid - q_closed) / q_closed))
     return {
         "scaled_constants": config.constants.name,

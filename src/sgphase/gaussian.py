@@ -26,6 +26,7 @@ boosted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .params import Branch, ExperimentConfig
@@ -235,18 +236,16 @@ class AnalyticBranch:
         self.intervals = regime_intervals(config, branch, window)
         self._starts = [iv.t_lo for iv in self.intervals]
 
-    def _interval(self, t: float) -> RegimeInterval:
+    def interval(self, t: float) -> RegimeInterval:
+        """The regime interval that holds t: the last one starting at or
+        before t.  Raises ValueError outside [0, T5]."""
         T5 = self.config.protocol.T5
         if t < 0.0 or t > T5:
             raise ValueError(f"t={t} outside [0, {T5}]")
-        idx = 0
-        for i, lo in enumerate(self._starts):
-            if t >= lo:
-                idx = i
-        return self.intervals[idx]
+        return self.intervals[bisect_right(self._starts, t) - 1]
 
     def a(self, t: float) -> complex:
-        iv = self._interval(t)
+        iv = self.interval(t)
         return propagate_a(iv.A_start, iv.nu, iv.omega, self.config.sphere.mass,
                            self.config.constants.hbar, t - iv.t_lo)
 

@@ -434,5 +434,6 @@ def scaled_config() -> ExperimentConfig:
     )
 
 
-def scaled_grid_spec(n: int = 4096, dt: float = 2.5e-4) -> GridSpec:
-    return GridSpec(n=n, z_min=-32.0, z_max=32.0, dt=dt, snapshot_stride=40)
+def scaled_grid_spec() -> GridSpec:
+    return GridSpec(n=4096, z_min=-32.0, z_max=32.0, dt=2.5e-4,
+                    snapshot_stride=40)

@@ -293,23 +293,6 @@ def require_valid(config: ExperimentConfig) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # flat key-value config files
 
-CONFIG_KEYS = (
-    "constants.name",
-    "sphere.mass_kg",
-    "sphere.radius_m",
-    "weights.beta_plus_sq",
-    "protocol.T1_s",
-    "protocol.T2_s",
-    "protocol.T3_s",
-    "protocol.T4_s",
-    "protocol.T5_s",
-    "protocol.B0_T",
-    "protocol.B0_grad_T_per_m",
-    "initial.sqrtQ0_m",
-    "nuclear_correction",
-)
-
-
 def config_to_mapping(config: ExperimentConfig) -> dict[str, object]:
     """Flatten a config to the documented key-value schema."""
     p = config.protocol
@@ -334,12 +317,12 @@ def config_from_mapping(mapping: dict[str, object],
                         base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from flat keys, overriding `base` (default: baseline).
 
-    Unknown keys are a hard error.
+    A key that `config_to_mapping` does not write is a hard error.
     """
-    unknown = sorted(set(mapping) - set(CONFIG_KEYS))
+    cfg = base if base is not None else baseline_config()
+    unknown = sorted(set(mapping) - set(config_to_mapping(cfg)))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = base if base is not None else baseline_config()
 
     def fget(key: str, old: float) -> float:
         return float(mapping[key]) if key in mapping else old

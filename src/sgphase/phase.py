@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -258,13 +259,10 @@ def naive_estimate_two_term(config: ExperimentConfig) -> float:
     return c.G * s.mass**2 / (c.hbar * s.radius) * (1.2 - 0.5) * dt * dbeta
 
 
-def i2_difference_estimate(config: ExperimentConfig,
-                           t: float | None = None) -> float:
+def i2_difference_estimate(config: ExperimentConfig) -> float:
     """Spreading-dominated estimate of the I2 branch asymmetry,
-    omega_s^2 hbar t^3 |b+^2 - b-^2| / (24 m Q0), evaluated by default at
-    t = T5 - T_s (rad)."""
-    if t is None:
-        t = config.protocol.T5 - separation_time(config)
+    omega_s^2 hbar t^3 |b+^2 - b-^2| / (24 m Q0) at t = T5 - T_s (rad)."""
+    t = config.protocol.T5 - separation_time(config)
     w = omega_s(config.sphere, config.constants)
     dbeta = abs(config.weights.beta_plus_sq - config.weights.beta_minus_sq)
     return (w * w * config.constants.hbar * t**3 * dbeta
@@ -273,6 +271,28 @@ def i2_difference_estimate(config: ExperimentConfig,
 
 # ---------------------------------------------------------------------------
 # phase curve
+
+# the PhaseBreakdown fields a phase curve samples, in CSV column order after t
+CURVE_TERMS = ("delta_phi", "i1_diff", "i2_diff", "const_self_diff",
+               "newton_diff", "classical_diff")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line and one line per row.  Text cells are written
+    as is, quoted (RFC 4180) when they hold a comma, a quote or a line
+    break; every other cell is a number, in the exponent format below,
+    which round-trips a double exactly and is the same on every run."""
+    def text(s: str) -> str:
+        if any(c in s for c in ',"\r\n'):
+            return '"' + s.replace('"', '""') + '"'
+        return s
+
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join([text(x) if isinstance(x, str)
+                              else format(x, ".17e") for x in row]) + "\n")
+
 
 @dataclass(frozen=True)
 class PhaseCurve:
@@ -287,31 +307,20 @@ class PhaseCurve:
     classical_diff: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
-                    "newton_diff,classical_diff\n")
-            for row in zip(self.t, self.delta_phi, self.i1_diff, self.i2_diff,
-                           self.const_self_diff, self.newton_diff,
-                           self.classical_diff):
-                f.write(",".join(format(x, ".17e") for x in row) + "\n")
+        write_csv(path, "t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
+                        "newton_diff,classical_diff",
+                  zip(self.t, *(getattr(self, k) for k in CURVE_TERMS)))
 
 
 def phase_curve(pipe: PhasePipeline, n_samples: int = 2000) -> PhaseCurve:
     """The breakdown of `pipe` at n_samples even times on [0, T5]; only
     samples the given pipeline and builds nothing."""
     ts = np.linspace(0.0, pipe.config.protocol.T5, n_samples)
-    cols = {k: np.empty(n_samples) for k in
-            ("delta_phi", "i1_diff", "i2_diff", "const_self_diff",
-             "newton_diff", "classical_diff")}
+    terms = attrgetter(*CURVE_TERMS)
+    cols = np.empty((len(CURVE_TERMS), n_samples))
     for i, t in enumerate(ts):
-        b = pipe.breakdown(float(t))
-        cols["delta_phi"][i] = b.delta_phi
-        cols["i1_diff"][i] = b.i1_diff
-        cols["i2_diff"][i] = b.i2_diff
-        cols["const_self_diff"][i] = b.const_self_diff
-        cols["newton_diff"][i] = b.newton_diff
-        cols["classical_diff"][i] = b.classical_diff
-    return PhaseCurve(t=ts, **cols)
+        cols[:, i] = terms(pipe.breakdown(float(t)))
+    return PhaseCurve(t=ts, **dict(zip(CURVE_TERMS, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +369,12 @@ def delta_phi_ode(config: ExperimentConfig,
     G = c.G
     R = config.sphere.radius
     traj = pipe.trajectory
-    reg = {b: pipe.branches[b].intervals for b in Branch}
     A0 = 0.5 / config.initial.Q0
 
     bounds = sorted({0.0, config.protocol.T5,
-                     *(iv.t_hi for b in Branch for iv in reg[b]),
+                     *(iv.t_hi for ab in pipe.branches.values()
+                       for iv in ab.intervals),
                      *(s.t_hi for s in traj.segments)})
-    bounds = [b for b in bounds if 0.0 <= b <= config.protocol.T5]
-
-    def params_at(branch: Branch, t: float) -> tuple[float, float]:
-        for iv in reg[branch]:
-            if t < iv.t_hi or iv is reg[branch][-1]:
-                return iv.nu, iv.omega
-        raise AssertionError
 
     def rhs(t, y, nus, omegas):
         out = np.empty(6)
@@ -398,11 +400,9 @@ def delta_phi_ode(config: ExperimentConfig,
     atol = ODE_RTOL * np.array([A0, A0, 1.0, A0, A0, 1.0])
     ts, ys = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        nus = tuple(params_at(b, mid)[0] for b in Branch)
-        omegas = tuple(params_at(b, mid)[1] for b in Branch)
+        ivs = [pipe.branches[b].interval(0.5 * (lo + hi)) for b in Branch]
+        nus = tuple(iv.nu for iv in ivs)
+        omegas = tuple(iv.omega for iv in ivs)
         inside = t_eval[(t_eval >= lo) & (t_eval < hi)]
         pts = np.unique(np.concatenate([inside, [lo, hi]]))
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", t_eval=pts,

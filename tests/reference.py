@@ -118,7 +118,7 @@ def f_quantum(pipe: PhasePipeline, branch: Branch, t: float) -> float:
     """F_Q of one branch at time t (J), with Q(t), nu and omega from the
     pipeline's regime intervals and d(t) from its trajectory."""
     ab = pipe.branches[branch]
-    iv = ab._interval(t)
+    iv = ab.interval(t)
     Q = ab.q(t)
     m = pipe.config.sphere.mass
     c = pipe.config.constants

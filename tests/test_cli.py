@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,8 @@ from sgphase.cli import (EXIT_COMPARE_FAILED, EXIT_NUMERICAL, EXIT_OK,
                          EXIT_VALIDATION, build_id, compare, main,
                          run_scenario)
 from sgphase.oracle import GridSpec, evolve_grid, scaled_config
-from sgphase.params import Branch, ConstantsSet, baseline_config
+from sgphase.params import (Branch, ConstantsSet, InitialState,
+                            baseline_config)
 from sgphase.phase import PhasePipeline
 
 SHIPPED = Path(__file__).resolve().parents[1] / "src" / "sgphase" / "data" \
@@ -175,6 +177,24 @@ class TestSweepScenarios:
         assert body[0] == "radius_m,mass_kg,delta_phi_rad,error"
         assert len(body) == 10
 
+    def test_failed_sweep_point_keeps_its_row(self, tmp_path, monkeypatch):
+        # the error text of a failed point holds commas; its row must still
+        # parse to the header's four fields with the text intact
+        failed, = sgphase.phase.radius_sweep(baseline_config(sqrt_Q0=1e-100),
+                                             [1e-6])
+        assert failed.error and "," in failed.error
+        good = sgphase.phase.radius_sweep(baseline_config(), [0.5e-6, 1e-6])
+        monkeypatch.setattr(sgphase.cli, "radius_sweep",
+                            lambda config, radii: [*good, failed])
+        out = tmp_path / "rs"
+        assert main(["radius-sweep", "--out", str(out)]) == EXIT_OK
+        with open(out / "radius_sweep.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["radius_m", "mass_kg", "delta_phi_rad", "error"]
+        assert [len(r) for r in rows] == [4] * 4
+        assert rows[3][2] == "" and rows[3][3] == failed.error
+        assert read_summary(out)["results"]["n_failed"] == 1
+
     def test_short_protocol_summary(self, tmp_path):
         out = tmp_path / "sp"
         assert main(["short-protocol", "--out", str(out)]) == EXIT_OK
@@ -196,6 +216,35 @@ class TestSweepScenarios:
             (base / "phase_curve.csv").read_bytes()
         assert read_summary(contrib)["results"] == \
             read_summary(base)["results"]
+
+
+class TestSummaryReportsBreakdown:
+    @pytest.mark.parametrize("scenario", ["baseline", "q0-sweep"])
+    def test_terms_equal_the_breakdown(self, tmp_path, scenario):
+        out = tmp_path / scenario
+        assert main([scenario, "--out", str(out)]) == EXIT_OK
+        res = read_summary(out)["results"]
+        if scenario == "baseline":
+            per_config = [(baseline_config(), res)]
+        else:
+            per_config = [(replace(baseline_config(),
+                                   initial=InitialState(Q0=s * s)),
+                           res["per_sqrt_Q0"][tag])
+                          for tag, s in (("1e-09", 1e-9), ("1e-10", 1e-10),
+                                         ("1e-13", 1e-13))]
+        for cfg, r in per_config:
+            bd = PhasePipeline(cfg).breakdown()
+            assert r["delta_phi_T5_rad"] == bd.delta_phi
+            assert r["terms"] == {
+                k: getattr(bd, k) for k in (
+                    "i1_diff", "i2_diff", "const_self_diff", "newton_diff",
+                    "classical_diff", "boundary_diff")}
+            for key, branch in (("branch_plus", bd.plus),
+                                ("branch_minus", bd.minus)):
+                assert r[key] == {
+                    k: getattr(branch, k) for k in (
+                        "i1", "i2", "const_self", "newton_cross",
+                        "classical")}
 
 
 class TestOneBuildPerConfig:

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -296,6 +297,16 @@ class TestDeltaPhi:
         header = path.read_text().splitlines()[0]
         assert header == ("t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
                           "newton_diff,classical_diff")
+
+    def test_write_csv_round_trips_text_and_numbers(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        texts = ["plain", "a, b", 'say "x"', "two\nlines", ""]
+        sgphase.phase.write_csv(path, "x,text", [(0.1, t) for t in texts])
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["x", "text"]
+        assert [r[1] for r in rows[1:]] == texts
+        assert all(r[0] == "1.00000000000000006e-01" for r in rows[1:])
 
 
 class TestNuclearBoost:
