@@ -124,10 +124,10 @@ def _run_short_protocol(config: ExperimentConfig, out: Path) -> dict:
 def _run_radius_sweep(config: ExperimentConfig, out: Path) -> dict:
     radii = [float(r) for r in np.geomspace(0.5e-6, 2e-6, 9)]
     points = radius_sweep(config, radii)
+    slope = fit_log_slope(points)
     write_csv(out / "radius_sweep.csv", "radius_m,mass_kg,delta_phi_rad,error",
               ((p.radius, p.mass, "" if p.delta_phi is None else p.delta_phi,
                 p.error or "") for p in points))
-    slope = fit_log_slope(points)
     return {
         "n_points": len(points),
         "n_failed": sum(1 for p in points if p.error),

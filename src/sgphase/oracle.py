@@ -307,7 +307,7 @@ def evolve_grid(config: ExperimentConfig, spec: GridSpec,
         else:
             for row in (0, 1):
                 nu = 1.0 if overlap else math.sqrt(w_pm[row])
-                w_eff = (effective_omega_s(max(Q[row], 1e-300), config.sphere,
+                w_eff = (effective_omega_s(Q[row], config.sphere,
                                            c, config.nuclear_correction)
                          if G > 0 else 0.0)
                 nu2 = nu * nu

@@ -1,23 +1,20 @@
 """Physical constants, experiment configuration and validation.
 
 All quantities are SI. A configuration bundles the sphere (mass, radius),
-the spin superposition weights, the magnetic splitting protocol (times
-T1..T5, field B0 and gradient B0') and the initial Gaussian spread Q0.
-Constants live in a small named registry so the whole pipeline can be
-re-run against alternative values of hbar etc.
+the spin weight |beta_+|^2, the magnetic splitting protocol (pulse length
+T1, hold time, field B0 and gradient B0') and the initial Gaussian spread
+Q0. It stores only what can be chosen freely: the times T2..T5 and
+|beta_-|^2 are derived, so recombination and the weight sum hold by
+construction. Constants live in a small named registry so the whole
+pipeline can be re-run against alternative values of hbar etc.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-# absolute tolerance for time comparisons (s); tighter is meaningless in
-# double precision over seconds
-TIME_TOL = 1e-12
-WEIGHT_TOL = 1e-12
 
 
 class Branch(enum.Enum):
@@ -85,14 +82,17 @@ class SphereParams:
 
 @dataclass(frozen=True)
 class SpinWeights:
-    """Squared amplitudes |beta_+|^2, |beta_-|^2 of the spin superposition."""
+    """Squared amplitudes of the spin superposition, |beta_+|^2 stored."""
 
     beta_plus_sq: float
-    beta_minus_sq: float
 
     @classmethod
     def from_plus(cls, beta_plus_sq: float) -> "SpinWeights":
-        return cls(beta_plus_sq, 1.0 - beta_plus_sq)
+        return cls(beta_plus_sq)
+
+    @property
+    def beta_minus_sq(self) -> float:
+        return 1.0 - self.beta_plus_sq
 
     def beta_sq(self, branch: Branch) -> float:
         return self.beta_plus_sq if branch is Branch.PLUS else self.beta_minus_sq
@@ -103,33 +103,36 @@ class SpinWeights:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Stern-Gerlach gradient schedule.
-
-    The recombination constraint T2-T1 = T4-T3 = T5-T4 = T1 must hold for
-    the packets to re-overlap with zero mean position and momentum.
-    """
+    """Stern-Gerlach gradient schedule from the pulse length T1 and the
+    hold time T3-T2. T2..T5 are derived at construction, so the packets
+    re-overlap with zero mean position and momentum by construction:
+    T2-T1 = T4-T3 = T5-T4 = T1."""
 
     T1: float
-    T2: float
-    T3: float
-    T4: float
-    T5: float
+    hold: float
     B0: float = 0.0        # uniform field (T); its phase cancels at T5
     B0_grad: float = 1e6   # field gradient B0' (T/m)
+    T2: float = field(init=False)
+    T3: float = field(init=False)
+    T4: float = field(init=False)
+    T5: float = field(init=False)
+    times: tuple[float, float, float, float, float] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        T2 = 2.0 * self.T1
+        T3 = T2 + self.hold
+        T4 = T3 + self.T1
+        T5 = T4 + self.T1
+        for name, value in (("T2", T2), ("T3", T3), ("T4", T4), ("T5", T5),
+                            ("times", (self.T1, T2, T3, T4, T5))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_t1(cls, T1: float, hold: float, B0: float = 0.0,
                 B0_grad: float = 1e6) -> "Protocol":
-        """Build a valid protocol from T1 and the hold time T3-T2."""
-        T2 = 2.0 * T1
-        T3 = T2 + hold
-        T4 = T3 + T1
-        T5 = T4 + T1
-        return cls(T1, T2, T3, T4, T5, B0=B0, B0_grad=B0_grad)
-
-    @property
-    def times(self) -> tuple[float, float, float, float, float]:
-        return (self.T1, self.T2, self.T3, self.T4, self.T5)
+        """Build a protocol from T1 and the hold time T3-T2."""
+        return cls(T1, hold, B0=B0, B0_grad=B0_grad)
 
 
 @dataclass(frozen=True)
@@ -249,27 +252,19 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if not (s.radius > 0.0 and math.isfinite(s.radius)):
         v.append(Violation("sphere.radius", "must be > 0", s.radius))
 
-    w = config.weights
-    for name, val in (("beta_plus_sq", w.beta_plus_sq),
-                      ("beta_minus_sq", w.beta_minus_sq)):
-        if not (0.0 < val < 1.0):
-            v.append(Violation(f"weights.{name}", "must lie in (0, 1)", val))
-    if abs(w.beta_plus_sq + w.beta_minus_sq - 1.0) > WEIGHT_TOL:
-        v.append(Violation("weights", "squared weights must sum to 1",
-                           w.beta_plus_sq + w.beta_minus_sq))
+    bp = config.weights.beta_plus_sq
+    if not (0.0 < bp < 1.0):
+        v.append(Violation("weights.beta_plus_sq", "must lie in (0, 1)", bp))
 
     p = config.protocol
-    T1, T2, T3, T4, T5 = p.times
-    if not (0.0 < T1 < T2 <= T3 < T4 < T5):
-        v.append(Violation("protocol", "times must be ordered "
-                           "0 < T1 < T2 <= T3 < T4 < T5", p.times))
-    else:
-        for name, interval in (("T2-T1", T2 - T1), ("T4-T3", T4 - T3),
-                               ("T5-T4", T5 - T4)):
-            if abs(interval - T1) > TIME_TOL:
-                v.append(Violation(f"protocol.{name}",
-                                   "recombination constraint requires equality with T1",
-                                   interval))
+    t1_ok = p.T1 > 0.0 and math.isfinite(p.T1)
+    if not t1_ok:
+        v.append(Violation("protocol.T1", "must be > 0", p.T1))
+    if not (p.hold >= 0.0 and math.isfinite(p.hold)):
+        v.append(Violation("protocol.hold", "must be >= 0", p.hold))
+    # a T1 below half an ulp of T3 is lost in T3 + T1; huge times overflow
+    elif t1_ok and not p.T3 < p.T4 < p.T5:
+        v.append(Violation("protocol", "needs T3 < T4 < T5", p.times))
     if not (p.B0_grad > 0.0 and math.isfinite(p.B0_grad)):
         v.append(Violation("protocol.B0_grad", "must be > 0", p.B0_grad))
     if not (p.B0 >= 0.0 and math.isfinite(p.B0)):
@@ -302,10 +297,7 @@ def config_to_mapping(config: ExperimentConfig) -> dict[str, object]:
         "sphere.radius_m": config.sphere.radius,
         "weights.beta_plus_sq": config.weights.beta_plus_sq,
         "protocol.T1_s": p.T1,
-        "protocol.T2_s": p.T2,
-        "protocol.T3_s": p.T3,
-        "protocol.T4_s": p.T4,
-        "protocol.T5_s": p.T5,
+        "protocol.hold_s": p.hold,
         "protocol.B0_T": p.B0,
         "protocol.B0_grad_T_per_m": p.B0_grad,
         "initial.sqrtQ0_m": config.initial.sqrt_Q0,
@@ -337,9 +329,8 @@ def config_from_mapping(mapping: dict[str, object],
             float(mapping["weights.beta_plus_sq"])))
     p = cfg.protocol
     cfg = replace(cfg, protocol=Protocol(
-        T1=fget("protocol.T1_s", p.T1), T2=fget("protocol.T2_s", p.T2),
-        T3=fget("protocol.T3_s", p.T3), T4=fget("protocol.T4_s", p.T4),
-        T5=fget("protocol.T5_s", p.T5), B0=fget("protocol.B0_T", p.B0),
+        T1=fget("protocol.T1_s", p.T1), hold=fget("protocol.hold_s", p.hold),
+        B0=fget("protocol.B0_T", p.B0),
         B0_grad=fget("protocol.B0_grad_T_per_m", p.B0_grad)))
     if "initial.sqrtQ0_m" in mapping:
         cfg = replace(cfg, initial=InitialState.from_sqrt(

@@ -461,11 +461,12 @@ def radius_sweep(config: ExperimentConfig, R_list) -> list[SweepPoint]:
 
 
 def fit_log_slope(points: list[SweepPoint]) -> float:
-    """Least-squares slope of log|delta_phi| against log R."""
+    """Least-squares slope of log|delta_phi| against log R; with fewer than
+    two nonzero results it is not a number (FloatingPointError)."""
     good = [(p.radius, p.delta_phi) for p in points
             if p.delta_phi is not None and p.delta_phi != 0.0]
     if len(good) < 2:
-        raise ValueError("need at least two successful sweep points")
+        raise FloatingPointError("need at least two successful sweep points")
     x = np.log([r for r, _ in good])
     y = np.log([abs(d) for _, d in good])
     return float(np.polyfit(x, y, 1)[0])

@@ -129,7 +129,7 @@ def separation_window(traj: Trajectory) -> tuple[float, float] | None:
     for seg in traj.segments:
         # z(tau) = R  with z quadratic in local time
         span = seg.t_hi - seg.t_lo
-        eps = 1e-12 * max(span, 1.0)
+        eps = 1e-12 * span
         for tau in _quadratic_roots(seg.lam * traj.F / (2.0 * traj.m),
                                     seg.p0 / traj.m, seg.z0 - traj.R):
             if -eps <= tau <= span + eps:

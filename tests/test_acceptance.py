@@ -60,7 +60,7 @@ def test_criterion_03_omega_s():
 
 
 def test_criterion_04_symmetry_null():
-    cfg = replace(baseline_config(), weights=SpinWeights(0.5, 0.5))
+    cfg = replace(baseline_config(), weights=SpinWeights.from_plus(0.5))
     dp = PhasePipeline(cfg).delta_phi()
     ok = abs(dp) < 1e-10
     verdict(4, f"|delta_phi| = {abs(dp):.2e} rad at equal weights "

@@ -69,11 +69,20 @@ class TestValidationPaths:
         assert main(["baseline", "--config", str(cfg_file),
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
-    def test_invalid_protocol(self, tmp_path):
+    def test_invalid_protocol(self, tmp_path, capsys):
+        # the file sets the pulse length, the hold time and |beta_+|^2;
+        # each is checked by validate, which names the field
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("protocol.T5_s = 2.1\n")
-        assert main(["baseline", "--config", str(cfg_file),
-                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        for line, field in (("protocol.T1_s = 0", "protocol.T1"),
+                            ("protocol.T1_s = nan", "protocol.T1"),
+                            ("protocol.hold_s = -0.5", "protocol.hold"),
+                            ("protocol.hold_s = inf", "protocol.hold"),
+                            ("weights.beta_plus_sq = 1.5",
+                             "weights.beta_plus_sq")):
+            cfg_file.write_text(line + "\n")
+            assert main(["baseline", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+            assert f"  - {field}: " in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["baseline", "--config", str(tmp_path / "nope.cfg"),
@@ -97,6 +106,19 @@ class TestNonFiniteResults:
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not (out / "summary.json").exists()
         # the library raises before any artefact is written
+        assert not list(out.glob("*.csv"))
+
+    def test_radius_sweep_exits_numerical_without_artefacts(self, tmp_path,
+                                                             capsys):
+        # every sweep point fails, so the slope is not a number
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text("initial.sqrtQ0_m = 1e-100\n")
+        out = tmp_path / "run"
+        assert main(["radius-sweep", "--config", str(cfg_file),
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FloatingPointError"
+        assert not (out / "summary.json").exists()
         assert not list(out.glob("*.csv"))
 
 

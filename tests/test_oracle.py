@@ -123,7 +123,7 @@ class TestFreeSpreading:
         assert float(rel.max()) < 1e-6
 
     def test_symmetric_null_phase(self, scaled, spec_small):
-        cfg = replace(no_gravity(scaled), weights=SpinWeights(0.5, 0.5))
+        cfg = replace(no_gravity(scaled), weights=SpinWeights.from_plus(0.5))
         run = evolve_grid(cfg, spec_small)
         assert abs(run.delta_phi_final) < 1e-4
 
@@ -162,7 +162,7 @@ class TestPhaseExtraction:
         # -g mu_B B0 Lambda(t) / hbar at every recorded time
         B0 = 0.04
         cfg = replace(no_gradient(no_gravity(scaled), B0=B0),
-                      weights=SpinWeights(0.5, 0.5))
+                      weights=SpinWeights.from_plus(0.5))
         c = cfg.constants
         run = evolve_grid(cfg, spec_small)
         traj = protocol_segments(cfg)
@@ -177,7 +177,7 @@ class TestPhaseExtraction:
         # force > pi/2 jumps between snapshots with a strong uniform field
         # (fast dephasing) and a sparse history
         cfg = replace(no_gradient(no_gravity(scaled), B0=20.0),
-                      weights=SpinWeights(0.5, 0.5))
+                      weights=SpinWeights.from_plus(0.5))
         spec = GridSpec(n=1024, z_min=-32.0, z_max=32.0, dt=1e-3,
                         snapshot_stride=10**9)
         with pytest.raises(PhaseUnwrapError):
@@ -274,7 +274,7 @@ class TestCrossTermRouting:
         # full harmonic self-term through the separation window and never
         # acquires a Newton cross term; the minus branch drops to nu = 0
         # (free spreading) while separated
-        cfg = replace(scaled, weights=SpinWeights(1.0, 0.0))
+        cfg = replace(scaled, weights=SpinWeights.from_plus(1.0))
         spec = GridSpec(n=2048, z_min=-32.0, z_max=32.0, dt=1e-3,
                         snapshot_stride=100)
         run = evolve_grid(cfg, spec)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,7 @@ from sgphase.params import (CONSTANTS, Branch, InitialState,
                             baseline_config, config_from_mapping,
                             config_to_mapping, get_constants, load_config,
                             omega_s, separation_time, validate)
-from sgphase.trajectories import action_parts, protocol_segments
+from sgphase.trajectories import action_parts, mean_state, protocol_segments
 
 
 def dyadic(k: int, scale: float = 2.0**-12) -> float:
@@ -26,6 +26,21 @@ protocol_strategy = st.builds(
     st.integers(min_value=0, max_value=8192),
     st.floats(min_value=0.0, max_value=0.1),
 )
+
+
+def init_leaves(config):
+    """{path: value} over the init fields of a config: the fields of its
+    sphere, weights, protocol and initial parts, the constants set (one
+    value, chosen by name) and the nuclear_correction flag."""
+    leaves = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "constants" or not is_dataclass(value):
+            leaves[f.name] = value
+        else:
+            leaves.update({f"{f.name}.{g.name}": getattr(value, g.name)
+                           for g in fields(value) if g.init})
+    return leaves
 
 
 class TestConstantsRegistry:
@@ -53,22 +68,31 @@ class TestValidate:
         assert report.ok
         assert report.violations == ()
 
-    def test_broken_recombination_fails(self, baseline):
-        p = baseline.protocol
-        bad = replace(baseline, protocol=replace(p, T5=2.1))
-        report = validate(bad)
-        assert not report.ok
-        assert any("recombination" in v.message for v in report.violations)
+    def test_broken_recombination_fails(self, out_of_domain):
+        # the recombination constraint holds by construction; what is left
+        # to reject is a pulse length or hold time outside its domain
+        protocols = [(f, c) for f, c in out_of_domain
+                     if f.startswith("protocol")]
+        assert protocols
+        for field, cfg in protocols:
+            report = validate(cfg)
+            assert [v.field for v in report.violations] == [field], cfg
 
     def test_symmetric_weights_pass(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.5, 0.5))
+        cfg = replace(baseline, weights=SpinWeights.from_plus(0.5))
         assert validate(cfg).ok
 
-    def test_weight_sum_violation(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.4, 0.55))
-        report = validate(cfg)
-        assert not report.ok
-        assert any(v.field == "weights" for v in report.violations)
+    def test_weight_sum_violation(self, out_of_domain):
+        # |beta_-|^2 is derived, so the weights sum to 1 by construction;
+        # what is left to reject is |beta_+|^2 outside (0, 1)
+        w = SpinWeights.from_plus(0.4)
+        assert w.beta_minus_sq == 1.0 - 0.4
+        weights = [(f, c) for f, c in out_of_domain
+                   if f.startswith("weights")]
+        assert weights
+        for field, cfg in weights:
+            report = validate(cfg)
+            assert [v.field for v in report.violations] == [field], cfg
 
     def test_nonpositive_values_flagged(self, baseline):
         cfg = replace(baseline, sphere=SphereParams(mass=-1.0, radius=1e-6))
@@ -148,6 +172,38 @@ class TestConfigFile:
         path.write_text("\n".join(f"{k} = {v}" for k, v in mapping.items()))
         loaded = load_config(path)
         assert loaded == baseline
+
+    def test_keys_map_one_to_one_onto_init_fields(self, baseline):
+        # each key sets one init field and each init field has one key, so
+        # a derived value cannot become settable, nor a settable value
+        # drop out of the file schema, unseen
+        base = init_leaves(baseline)
+        set_by = {}
+        for key, value in config_to_mapping(baseline).items():
+            if key == "constants.name":
+                new = "codata"
+            elif isinstance(value, bool):
+                new = not value
+            else:
+                new = 2.0 * value + 1.0
+            got = init_leaves(config_from_mapping({key: new}, base=baseline))
+            [set_by[key]] = [leaf for leaf in base if got[leaf] != base[leaf]]
+        assert sorted(set_by.values()) == sorted(base)
+
+    def test_t1_alone_gives_a_recombining_protocol(self, tmp_path, baseline):
+        # T2..T5 follow from T1 and the hold, so one key moves them all
+        path = tmp_path / "exp.cfg"
+        path.write_text("protocol.T1_s = 0.05\n")
+        cfg = load_config(path)
+        assert validate(cfg).ok
+        p = cfg.protocol
+        assert (p.T1, p.hold) == (0.05, baseline.protocol.hold)
+        traj = protocol_segments(cfg)
+        for b in Branch:
+            z_top, p_top = mean_state(b, p.T2, traj)[0], traj.F * p.T1
+            z_end, p_end = mean_state(b, p.T5, traj)
+            assert abs(z_end) <= 1e-12 * abs(z_top)
+            assert abs(p_end) <= 1e-12 * p_top
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -121,7 +121,8 @@ class TestFQuantum:
             -(2.0 / 3.0) * c.G * m * m / d, rel=1e-10)
 
     def test_symmetric_weights_equal(self, baseline):
-        pipe = PhasePipeline(replace(baseline, weights=SpinWeights(0.5, 0.5)))
+        pipe = PhasePipeline(replace(baseline,
+                                     weights=SpinWeights.from_plus(0.5)))
         for t in (0.0, 0.2, 1.0, 1.9):
             assert f_quantum(pipe, Branch.PLUS, t) == f_quantum(
                 pipe, Branch.MINUS, t)
@@ -231,7 +232,7 @@ class TestDeltaPhi:
     @given(config_strategy)
     @example(baseline_config())
     def test_symmetric_weights_null(self, config):
-        cfg = replace(config, weights=SpinWeights(0.5, 0.5))
+        cfg = replace(config, weights=SpinWeights.from_plus(0.5))
         assert PhasePipeline(cfg).delta_phi() == 0.0
 
     @given(config_strategy,
@@ -248,9 +249,15 @@ class TestDeltaPhi:
     @example(baseline_config())
     @example(SUB_TANGENT)
     def test_weight_swap_antisymmetry(self, config):
+        # only |beta_+|^2 is stored; snapped to b = 1 - (1 - |beta_+|^2),
+        # which is exact for |beta_+|^2 <= 1/2 (Sterbenz), 1 - b is exact
+        # too, so the swapped config carries exactly the swapped weights
+        config = replace(config, weights=SpinWeights.from_plus(
+            1.0 - config.weights.beta_minus_sq))
         w = config.weights
-        swapped = replace(config, weights=SpinWeights(w.beta_minus_sq,
-                                                      w.beta_plus_sq))
+        assert 1.0 - w.beta_minus_sq == w.beta_plus_sq
+        swapped = replace(config,
+                          weights=SpinWeights.from_plus(w.beta_minus_sq))
         dp = PhasePipeline(config).delta_phi()
         assert PhasePipeline(swapped).delta_phi() == -dp
         # packets that never clear contact d = 2R keep nu = 1 throughout
@@ -338,6 +345,63 @@ class TestNuclearBoost:
                            for k in range(1, 16))
 
 
+def in_units(config, L, T, M, B):
+    """`config` in units of L metres, T seconds, M kilograms and B tesla.
+    With power-of-two units every input and constant changes by an exact
+    factor."""
+    c, s, p = config.constants, config.sphere, config.protocol
+    energy = M * L * L / (T * T)
+    return replace(
+        config,
+        constants=ConstantsSet(name=c.name, G=c.G * M * T * T / L**3,
+                               hbar=c.hbar / (energy * T),
+                               mu_B=c.mu_B * B / energy,
+                               g_factor=c.g_factor),
+        sphere=SphereParams(mass=s.mass / M, radius=s.radius / L),
+        protocol=Protocol(T1=p.T1 / T, hold=p.hold / T, B0=p.B0 / B,
+                          B0_grad=p.B0_grad * L / B),
+        initial=InitialState(Q0=config.initial.Q0 / (L * L)))
+
+
+# (L, T, M, B) unit sets, from nanometre and picogram scale to a change of
+# every unit at once
+UNIT_SETS = ((2.0**-30, 1.0, 2.0**-47, 1.0),
+             (2.0**-20, 2.0**3, 2.0**-48, 2.0**-7),
+             (2.0**-33, 2.0**-2, 2.0**-50, 2.0**10),
+             (2.0**5, 2.0**-5, 2.0**3, 1.0))
+
+
+class TestUnitCovariance:
+    @given(config_strategy, st.sampled_from(UNIT_SETS))
+    @example(baseline_config(), UNIT_SETS[2])
+    def test_results_do_not_depend_on_the_units(self, config, units):
+        """A change of units changes no verdict and no physics.
+
+        `validate` gives the same verdict, the separation window and every
+        regime bound scale exactly with the time unit, and delta_phi agrees
+        to 4e-15 relative. It is not bitwise equal: `omega_s` takes
+        radius**3 through libm's pow, which can move omega_s by one ulp,
+        and the cancellation in the closed-form kernels (ROADMAP item 15)
+        amplifies that: over the sweep pool i1_diff moves by up to 9e-6
+        relative while delta_phi moves by at most 7e-16. Boosted configs are
+        left out because NUCLEON_SCALE is an absolute length in metres
+        (ROADMAP item 11)."""
+        L, T, M, B = units
+        scaled = in_units(config, L, T, M, B)
+        assert validate(scaled).ok == validate(config).ok
+        pipe, pipe_s = PhasePipeline(config), PhasePipeline(scaled)
+        if pipe.window is None:
+            assert pipe_s.window is None
+        else:
+            assert pipe_s.window == tuple(t / T for t in pipe.window)
+        for b in Branch:
+            assert [(iv.t_lo / T, iv.t_hi / T)
+                    for iv in pipe.branches[b].intervals] == [
+                (iv.t_lo, iv.t_hi) for iv in pipe_s.branches[b].intervals]
+        dp = pipe.delta_phi()
+        assert abs(pipe_s.delta_phi() - dp) <= 4e-15 * abs(dp)
+
+
 class TestTrajectoryBuilds:
     def test_one_trajectory_per_config(self, baseline, monkeypatch):
         # the pipeline builds the trajectory once; every later breakdown
@@ -384,7 +448,7 @@ class TestEstimates:
         assert naive_estimate(baseline) == pytest.approx(-15.59, rel=0.02)
 
     def test_naive_symmetric_zero(self, baseline):
-        cfg = replace(baseline, weights=SpinWeights(0.5, 0.5))
+        cfg = replace(baseline, weights=SpinWeights.from_plus(0.5))
         assert naive_estimate(cfg) == 0.0
 
     def test_dominant_term(self, baseline):
@@ -435,15 +499,23 @@ class TestRadiusSweep:
         assert point.error.startswith("FloatingPointError")
 
     def test_fit_needs_two_points(self, baseline):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             fit_log_slope(radius_sweep(baseline, [1e-6]))
 
 
 class TestComputabilityGuard:
     def test_disordered_protocol_rejected(self, baseline):
-        bad = replace(baseline, protocol=replace(baseline.protocol, T2=1.6))
-        with pytest.raises(ValueError, match="ordered|recombination"):
-            PhasePipeline(bad)
+        # T2..T5 follow T1 and the hold in order unless T1 is below half an
+        # ulp of T3 = 2 T1 + hold, where T3 + T1 rounds back to T3
+        for T1, ordered in ((2.0**-52, True), (2.0**-54, False)):
+            cfg = replace(baseline, protocol=Protocol(T1, hold=1.0))
+            p = cfg.protocol
+            assert (0.0 < p.T1 < p.T2 <= p.T3 < p.T4 < p.T5) == ordered
+            if ordered:
+                PhasePipeline(cfg)
+            else:
+                with pytest.raises(ValueError, match="protocol: "):
+                    PhasePipeline(cfg)
 
     def test_negative_g_rejected(self, baseline):
         c = baseline.constants
@@ -453,14 +525,13 @@ class TestComputabilityGuard:
         with pytest.raises(ValueError, match="G must be"):
             PhasePipeline(bad)
 
-    def test_same_policy_as_validate(self, baseline):
-        p = baseline.protocol
-        off = replace(baseline, protocol=replace(p, T5=p.T5 + 1e-10))
-        assert not validate(off).ok
-        with pytest.raises(ValueError, match="recombination"):
-            PhasePipeline(off)
-        with pytest.raises(ValueError, match="recombination"):
-            delta_phi_ode(off)
+    def test_same_policy_as_validate(self, baseline, out_of_domain):
+        for field, cfg in out_of_domain:
+            assert not validate(cfg).ok
+            with pytest.raises(ValueError, match=f"{field}: "):
+                PhasePipeline(cfg)
+            with pytest.raises(ValueError, match=f"{field}: "):
+                delta_phi_ode(cfg)
         g_zero = without_gravity(baseline)
         assert validate(g_zero).ok
         assert PhasePipeline(g_zero).delta_phi() == 0.0
