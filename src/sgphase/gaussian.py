@@ -121,16 +121,13 @@ def integral_q(A0: complex, nu: float, omega: float, mass: float,
 
 @dataclass(frozen=True)
 class RegimeInterval:
-    """Maximal interval over which a branch sees constant (nu, omega),
-    with int dt/Q (s/m^2) and int Q dt (m^2 s) over the whole of it."""
+    """Maximal interval over which a branch sees constant (nu, omega)."""
 
     t_lo: float
     t_hi: float
     nu: float
     omega: float
     A_start: complex
-    inv_q_integral: float
-    q_integral: float
 
 
 def _nuclear_crossing(A0: complex, nu: float, omega: float, mass: float,
@@ -216,12 +213,8 @@ def regime_intervals(config: ExperimentConfig, branch: Branch,
                 cross = _nuclear_crossing(A, nu, w, m, hbar, t, hi)
                 if cross is not None:
                     t_next = cross
-            tau = t_next - t
-            out.append(RegimeInterval(
-                t_lo=t, t_hi=t_next, nu=nu, omega=w, A_start=A,
-                inv_q_integral=integral_inv_q(A, nu, w, m, hbar, tau),
-                q_integral=integral_q(A, nu, w, m, hbar, tau)))
-            A = propagate_a(A, nu, w, m, hbar, tau)
+            out.append(RegimeInterval(t, t_next, nu, w, A_start=A))
+            A = propagate_a(A, nu, w, m, hbar, t_next - t)
             t = t_next
     return tuple(out)
 

@@ -10,22 +10,25 @@ split off, the branch phase reduces to minus the time integral of
 
 i.e. kinetic spread, harmonic self-term, constant self-energy and the
 Newton attraction toward the other packet.  Every term is integrated in
-closed form segment by segment; the adaptive ODE route is kept only as a
-cross-check of the analytic path.
+closed form piece by piece, and `PhasePipeline` keeps the running sums at
+the piece starts, so a term at any t adds one partial piece to a stored
+sum; the adaptive ODE route is kept only as a cross-check of the
+analytic path.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
-from .gaussian import AnalyticBranch, integral_inv_q, integral_q
+from .gaussian import (AnalyticBranch, integral_inv_q, integral_q,
+                       propagate_a)
 from .params import (Branch, ExperimentConfig, SphereParams, omega_s,
                      require_valid, separation_time)
-from .trajectories import (action_parts, branch_distance, mean_state,
+from .trajectories import (action_piece, branch_distance,
                            protocol_segments, separation_window)
 
 
@@ -105,118 +108,123 @@ def _inv_quadratic_integral(c0: float, c1: float, c2: float,
 class PhasePipeline:
     """Closed-form phase evaluation of one config.
 
-    The trajectory, the separation window and each branch's regime
-    intervals are built once here; every later evaluation only reads them.
+    Built once: the trajectory, the separation window, each branch's
+    regime intervals and a prefix table.  Per trajectory segment the table
+    holds the symmetric action, Lambda = int lambda dt and int dt/d over
+    the window up to the segment's start; per regime interval of each
+    branch, the sums behind i1, i2 and const_self up to its start.  A term
+    at t is the prefix of the piece that holds t plus the integral over
+    that piece's part before t.  The prefixes are running left-to-right
+    sums of the same per-piece values a walk from t = 0 adds
+    (tests/reference.py keeps the walks), so every term is bitwise the
+    walk's; a kernel restarted at a bound inside a piece would move bits.
     """
 
     def __init__(self, config: ExperimentConfig):
         require_valid(config)
         self.config = config
-        self.trajectory = protocol_segments(config)
-        self.window = separation_window(self.trajectory)
+        self.trajectory = traj = protocol_segments(config)
+        self.window = separation_window(traj)
         self.branches = {b: AnalyticBranch(config, b, self.window)
                          for b in Branch}
         c = config.constants
         s = config.sphere
         self._const_rate = 1.2 * c.G * s.mass**2 / (c.hbar * s.radius)
         self._newton_scale = c.G * s.mass**2 / c.hbar
+        self._b0_rate = c.g_factor * c.mu_B * config.protocol.B0 / c.hbar
         self._mass = s.mass
         self._hbar = c.hbar
-
-    # -- quantum integral pieces -------------------------------------------
-
-    def _interval_sums(self, branch: Branch,
-                       t: float) -> tuple[float, float, float]:
-        """(i1, i2, const_self) of one branch up to t, from one walk over
-        its regime intervals; a whole interval adds its stored integrals."""
-        m, hbar = self._mass, self._hbar
-        i1 = i2 = const = 0.0
-        for iv in self.branches[branch].intervals:
-            if t <= iv.t_lo:
-                break
-            if t >= iv.t_hi:
-                inv_q, q = iv.inv_q_integral, iv.q_integral
-            else:
-                tau = t - iv.t_lo
-                inv_q = integral_inv_q(iv.A_start, iv.nu, iv.omega, m, hbar,
-                                       tau)
-                q = integral_q(iv.A_start, iv.nu, iv.omega, m, hbar, tau)
-            i1 += inv_q
-            i2 += 0.5 * m * iv.omega**2 * iv.nu**2 / hbar * q
-            const += iv.nu**2 * (min(t, iv.t_hi) - iv.t_lo)
-        return (0.25 * hbar / m * i1, i2, -self._const_rate * const)
-
-    def _separated_inv_d(self, t: float) -> float | None:
-        """int dt / d over the separated part of [0, t] (s/m), with d from
-        the piecewise quadratic trajectory; shared by both branches'
-        Newton terms, None when there is no Newton term."""
-        if self.window is None or self._newton_scale == 0.0:
-            return None
-        w0, w1 = self.window
-        t_hi = min(t, w1)
-        if t_hi <= w0:
-            return None
-        m = self._mass
-        F = self.trajectory.F
-        total = 0.0
-        for seg in self.trajectory.segments:
-            lo = max(w0, seg.t_lo)
-            hi = min(t_hi, seg.t_hi)
-            if hi <= lo:
-                continue
-            # d(tau) = 2 z0 + (2 p0/m) tau + (lam F/m) tau^2, tau local
-            c0 = 2.0 * seg.z0
-            c1 = 2.0 * seg.p0 / m
-            c2 = seg.lam * F / m
-            total += _inv_quadratic_integral(c0, c1, c2,
-                                             lo - seg.t_lo, hi - seg.t_lo)
-        return total
-
-    # -- assembly ------------------------------------------------------------
-
-    def breakdown(self, t: float | None = None) -> PhaseBreakdown:
-        """Per-branch terms and their differences at t (default T5).
-
-        Raises FloatingPointError when delta_phi is not finite."""
-        if t is None:
-            t = self.config.protocol.T5
-        # the branch means are mirror images, so both branches share
-        # <z><p>, <z>^2 and the inter-branch distance; each term that
-        # depends on them is evaluated once
-        z, p = mean_state(Branch.PLUS, t, self.trajectory)
-        boundary_zp = -z * p / self._hbar
-        z_sq = z**2
-        inv_d = self._separated_inv_d(t)
-        # one segment walk serves both actions and the classical difference
-        common, lam_time = action_parts(self.trajectory, t)
-        im_a = {}
-        phases = {}
+        # the window of the Newton term; empty when there is none
+        self._newton_window = (
+            (math.inf, -math.inf) if self.window is None
+            or self._newton_scale == 0.0 else self.window)
+        # per segment (common, Lambda, int dt/d) at its start, then at T5
+        self._seg_starts = [seg.t_lo for seg in traj.segments]
+        self._segment_sums = sums = [(0.0, 0.0, 0.0)]
+        for seg in traj.segments:
+            (s1, s2, s3), (d1, d2, d3) = sums[-1], self._segment_piece(
+                seg, seg.t_hi)
+            sums.append((s1 + d1, s2 + d2, s3 + d3))
+        # per branch: its intervals and their starts, (int dt/Q, i2,
+        # int nu^2 dt) at each start and then at T5, and the factors of
+        # Lambda in its action and of int dt/d in newton_cross
+        self._sides = []
         for b in Branch:
-            im_a[b] = self.branches[b].a(t).imag
-            i1, i2, const_self = self._interval_sums(b, t)
-            nu = self.config.weights.beta(b)
-            action = common - b.sign * self.trajectory.E0 * lam_time
-            phases[b] = BranchPhase(
-                boundary_zp=boundary_zp,
-                boundary_width=-0.5 * z_sq * im_a[b],
-                classical=action / self._hbar,
-                i1=i1,
-                i2=i2,
-                const_self=const_self,
-                newton_cross=(0.0 if inv_d is None else
-                              -self._newton_scale * (1.0 - nu * nu) * inv_d),
-            )
-        plus, minus = phases[Branch.PLUS], phases[Branch.MINUS]
+            ivs = self.branches[b].intervals
+            sums = [(0.0, 0.0, 0.0)]
+            for iv in ivs:
+                (s1, s2, s3), (d1, d2, d3) = sums[-1], self._regime_piece(
+                    iv, iv.t_hi - iv.t_lo)
+                sums.append((s1 + d1, s2 + d2, s3 + d3))
+            nu = config.weights.beta(b)
+            self._sides.append((ivs, [iv.t_lo for iv in ivs], sums,
+                                b.sign * traj.E0,
+                                -self._newton_scale * (1.0 - nu * nu)))
+
+    def _segment_piece(self, seg, t: float) -> tuple[float, float, float]:
+        """The action's common part (J s), Lambda (s) and int dt/d over the
+        window (s/m, 0 outside it) on [t_lo, t] of a segment, with
+        d(tau) = 2 z0 + (2 p0/m) tau + (lam F/m) tau^2 in local time."""
+        m, F = self._mass, self.trajectory.F
+        (w0, w1), t_lo = self._newton_window, seg.t_lo
+        return (*action_piece(seg, t - t_lo, self.trajectory),
+                _inv_quadratic_integral(2.0 * seg.z0, 2.0 * seg.p0 / m,
+                                        seg.lam * F / m, max(w0, t_lo) - t_lo,
+                                        min(w1, t) - t_lo))
+
+    def _regime_piece(self, iv, tau: float) -> tuple[float, float, float]:
+        """int dt/Q (s/m^2), i2 (rad) and int nu^2 dt (s) over the first
+        tau of a regime interval."""
+        m, hbar = self._mass, self._hbar
+        kernel = (iv.A_start, iv.nu, iv.omega, m, hbar, tau)
+        return (integral_inv_q(*kernel),
+                0.5 * m * iv.omega**2 * iv.nu**2 / hbar * integral_q(*kernel),
+                iv.nu**2 * tau)
+
+    def _evaluate(self, t: float):
+        """(differences in CURVE_TERMS order then boundary_diff, plus terms,
+        minus terms in BranchPhase field order) at t; raises
+        FloatingPointError when delta_phi is not finite."""
+        m, hbar, traj = self._mass, self._hbar, self.trajectory
+        k = bisect_right(self._seg_starts, t) - 1
+        seg = traj.segments[k]  # the last one when t < 0
+        if t < 0.0 or t > seg.t_hi:
+            raise ValueError(f"t={t} outside protocol range [0, {seg.t_hi}]")
+        # the branch means are mirror images, so both branches share <z><p>,
+        # <z>^2 and the inter-branch distance, each evaluated once
+        z, p = seg.state(t - seg.t_lo, traj.m, traj.F)
+        boundary_zp = -z * p / hbar
+        z_sq = z**2
+        # a piece that ends at t (the last, at T5) reads the next prefix
+        common, lam_time, inv_d = self._segment_sums[k + (t >= seg.t_hi)]
+        if seg.t_lo < t < seg.t_hi:
+            d1, d2, d3 = self._segment_piece(seg, t)
+            common, lam_time, inv_d = common + d1, lam_time + d2, inv_d + d3
+        if t <= self._newton_window[0]:
+            inv_d = None
+        im_a, terms = [], []
+        for ivs, starts, sums, lam_factor, newton_factor in self._sides:
+            j = bisect_right(starts, t) - 1
+            iv = ivs[j]
+            im_a.append(propagate_a(iv.A_start, iv.nu, iv.omega, m, hbar,
+                                    t - iv.t_lo).imag)
+            i1, i2, const = sums[j + (t >= iv.t_hi)]
+            if iv.t_lo < t < iv.t_hi:
+                d1, d2, d3 = self._regime_piece(iv, t - iv.t_lo)
+                i1, i2, const = i1 + d1, i2 + d2, const + d3
+            terms.append((boundary_zp, -0.5 * z_sq * im_a[-1],
+                          (common - lam_factor * lam_time) / hbar,
+                          0.25 * hbar / m * i1, i2, -self._const_rate * const,
+                          0.0 if inv_d is None else newton_factor * inv_d))
+        plus, minus = terms
         # the width boundary term differs only through Im A
-        boundary_diff = -0.5 * z_sq * (im_a[Branch.PLUS] - im_a[Branch.MINUS])
+        boundary_diff = -0.5 * z_sq * (im_a[0] - im_a[1])
         # only the uniform-field part of the action is branch-asymmetric
-        c = self.config.constants
-        classical_diff = -(c.g_factor * c.mu_B * self.config.protocol.B0
-                           / c.hbar) * lam_time
-        i1_diff = -(plus.i1 - minus.i1)
-        i2_diff = -(plus.i2 - minus.i2)
-        const_diff = -(plus.const_self - minus.const_self)
-        newton_diff = -(plus.newton_cross - minus.newton_cross)
+        classical_diff = -self._b0_rate * lam_time
+        i1_diff = -(plus[3] - minus[3])
+        i2_diff = -(plus[4] - minus[4])
+        const_diff = -(plus[5] - minus[5])
+        newton_diff = -(plus[6] - minus[6])
         delta_phi = (boundary_diff + classical_diff + i1_diff + i2_diff
                      + const_diff + newton_diff)
         if not math.isfinite(delta_phi):
@@ -224,11 +232,18 @@ class PhasePipeline:
                 f"non-finite delta_phi = {delta_phi!r} at t = {t} (terms: "
                 f"i1 {i1_diff!r}, i2 {i2_diff!r}, const {const_diff!r}, "
                 f"newton {newton_diff!r}, boundary {boundary_diff!r})")
-        return PhaseBreakdown(
-            t=t, plus=plus, minus=minus, delta_phi=delta_phi,
-            i1_diff=i1_diff, i2_diff=i2_diff, const_self_diff=const_diff,
-            newton_diff=newton_diff, classical_diff=classical_diff,
-            boundary_diff=boundary_diff)
+        return ((delta_phi, i1_diff, i2_diff, const_diff, newton_diff,
+                 classical_diff, boundary_diff), plus, minus)
+
+    def breakdown(self, t: float | None = None) -> PhaseBreakdown:
+        """Per-branch terms and their differences at t (default T5).
+
+        Raises FloatingPointError when delta_phi is not finite."""
+        if t is None:
+            t = self.config.protocol.T5
+        diffs, plus, minus = self._evaluate(t)
+        return PhaseBreakdown(t, BranchPhase(*plus), BranchPhase(*minus),
+                              *diffs)
 
     def delta_phi(self, t: float | None = None) -> float:
         return self.breakdown(t).delta_phi
@@ -280,18 +295,24 @@ CURVE_TERMS = ("delta_phi", "i1_diff", "i2_diff", "const_self_diff",
 def write_csv(path, header: str, rows) -> None:
     """Write the header line and one line per row.  Text cells are written
     as is, quoted (RFC 4180) when they hold a comma, a quote or a line
-    break; every other cell is a number, in the exponent format below,
-    which round-trips a double exactly and is the same on every run."""
+    break; every other cell is a number, written as "%.17e" (the digits of
+    format(x, ".17e")), which round-trips a double exactly and is the same
+    on every run.  A row of numbers, one per header column, is formatted
+    by one pattern."""
     def text(s: str) -> str:
         if any(c in s for c in ',"\r\n'):
             return '"' + s.replace('"', '""') + '"'
         return s
 
+    numbers = ",".join(["%.17e"] * len(header.split(","))) + "\n"
     with open(path, "w") as f:
         f.write(header + "\n")
         for row in rows:
-            f.write(",".join([text(x) if isinstance(x, str)
-                              else format(x, ".17e") for x in row]) + "\n")
+            try:
+                f.write(numbers % row)
+            except TypeError:  # a text cell, or not one cell per column
+                f.write(",".join([text(x) if isinstance(x, str)
+                                  else "%.17e" % x for x in row]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -308,18 +329,17 @@ class PhaseCurve:
 
     def to_csv(self, path) -> None:
         write_csv(path, "t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
-                        "newton_diff,classical_diff",
-                  zip(self.t, *(getattr(self, k) for k in CURVE_TERMS)))
+                  "newton_diff,classical_diff", zip(*(
+                      getattr(self, k).tolist() for k in ("t", *CURVE_TERMS))))
 
 
 def phase_curve(pipe: PhasePipeline, n_samples: int = 2000) -> PhaseCurve:
     """The breakdown of `pipe` at n_samples even times on [0, T5]; only
     samples the given pipeline and builds nothing."""
     ts = np.linspace(0.0, pipe.config.protocol.T5, n_samples)
-    terms = attrgetter(*CURVE_TERMS)
-    cols = np.empty((len(CURVE_TERMS), n_samples))
-    for i, t in enumerate(ts):
-        cols[:, i] = terms(pipe.breakdown(float(t)))
+    n = len(CURVE_TERMS)
+    cols = np.array([pipe._evaluate(t)[0][:n] for t in ts.tolist()]
+                    ).reshape(n_samples, n).T
     return PhaseCurve(t=ts, **dict(zip(CURVE_TERMS, cols)))
 
 
@@ -419,8 +439,7 @@ def delta_phi_ode(config: ExperimentConfig,
     y_all = np.concatenate(ys, axis=1)
     q_plus, q_minus = y[2], y[5]
     # the uniform-field classical difference, zero at T5 by int lambda = 0
-    b0_diff = -(c.g_factor * c.mu_B * config.protocol.B0 / hbar
-                ) * action_parts(traj)[1]
+    b0_diff = -pipe._b0_rate * pipe._segment_sums[-1][1]
     return OdeCrossCheck(
         t=t_all,
         A_plus=y_all[0] + 1j * y_all[1],

@@ -41,6 +41,12 @@ class Segment:
     z0: float
     p0: float
 
+    def state(self, tau: float, m: float, F: float) -> tuple[float, float]:
+        """Plus-branch (z (m), p (kg m/s)) at local time tau."""
+        return (self.z0 + self.p0 * tau / m
+                + self.lam * F * tau * tau / (2.0 * m),
+                self.p0 + self.lam * F * tau)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -68,9 +74,7 @@ def protocol_segments(config: ExperimentConfig) -> Trajectory:
     z, mom = 0.0, 0.0
     for lam, lo, hi in zip(LAMBDAS, bounds[:-1], bounds[1:]):
         segs.append(Segment(t_lo=lo, t_hi=hi, lam=lam, z0=z, p0=mom))
-        tau = hi - lo
-        z = z + mom * tau / m + lam * F * tau * tau / (2.0 * m)
-        mom = mom + lam * F * tau
+        z, mom = segs[-1].state(hi - lo, m, F)
     return Trajectory(segments=tuple(segs), m=m, F=F, E0=half_g_mu * p.B0,
                       R=config.sphere.radius)
 
@@ -82,12 +86,8 @@ def mean_state(branch: Branch, t: float,
     T5 = segments[-1].t_hi
     if t < 0.0 or t > T5:
         raise ValueError(f"t={t} outside protocol range [0, {T5}]")
-    starts = [s.t_lo for s in segments]
-    s = segments[max(bisect_right(starts, t) - 1, 0)]
-    m, F = traj.m, traj.F
-    tau = t - s.t_lo
-    z = s.z0 + s.p0 * tau / m + s.lam * F * tau * tau / (2.0 * m)
-    p = s.p0 + s.lam * F * tau
+    s = segments[bisect_right(segments, t, key=lambda s: s.t_lo) - 1]
+    z, p = s.state(t - s.t_lo, traj.m, traj.F)
     return branch.sign * z, branch.sign * p
 
 
@@ -142,11 +142,11 @@ def separation_window(traj: Trajectory) -> tuple[float, float] | None:
     return (t_enter, t_exit)
 
 
-def action_parts(traj: Trajectory,
-                 t: float | None = None) -> tuple[float, float]:
-    """The two parts of the classical action up to t (default T5), from
-    one walk over the segments: the branch-symmetric kinetic and gradient
-    part (J s) and int lambda dt (s).
+def action_piece(seg: Segment, tau: float,
+                 traj: Trajectory) -> tuple[float, float]:
+    """The two parts of the classical action over the first tau of a
+    segment: the branch-symmetric kinetic and gradient part (J s) and
+    int lambda dt = lam tau (s).
 
     The action of a branch mean is S = int [ <p>^2/(2m) - V_ext(<z>) ] dt
     with the magnetic potential V_ext,+- = +-lambda (g mu_B/2)(B0 - B0'
@@ -156,24 +156,11 @@ def action_parts(traj: Trajectory,
     vanishes at T5 for every protocol obeying the recombination constraint,
     so the uniform-field phase cancels at the end.
     """
-    T5 = traj.segments[-1].t_hi
-    if t is None:
-        t = T5
-    if t < 0.0 or t > T5:
-        raise ValueError(f"t={t} outside protocol range [0, {T5}]")
     m, F = traj.m, traj.F
-    common = 0.0
-    lam_time = 0.0
-    for seg in traj.segments:
-        if t <= seg.t_lo:
-            break
-        tau = min(t, seg.t_hi) - seg.t_lo
-        lam, z0, p0 = float(seg.lam), seg.z0, seg.p0
-        # kinetic: int (p0 + lam F u)^2 / 2m du
-        kin = (p0 * p0 * tau + p0 * lam * F * tau**2
-               + (lam * F) ** 2 * tau**3 / 3.0) / (2.0 * m)
-        # gradient part of -V_ext is branch-independent: +lam F <z>_+
-        zint = z0 * tau + p0 * tau**2 / (2.0 * m) + lam * F * tau**3 / (6.0 * m)
-        common += kin + lam * F * zint
-        lam_time += lam * tau
-    return common, lam_time
+    lam, z0, p0 = float(seg.lam), seg.z0, seg.p0
+    # kinetic: int (p0 + lam F u)^2 / 2m du
+    kin = (p0 * p0 * tau + p0 * lam * F * tau**2
+           + (lam * F) ** 2 * tau**3 / 3.0) / (2.0 * m)
+    # gradient part of -V_ext is branch-independent: +lam F <z>_+
+    zint = z0 * tau + p0 * tau**2 / (2.0 * m) + lam * F * tau**3 / (6.0 * m)
+    return kin + lam * F * zint, lam * tau

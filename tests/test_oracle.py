@@ -17,10 +17,10 @@ from sgphase.oracle import (GridEscapeError, GridSpec, Moments,
 from sgphase.params import (Branch, ConstantsSet, InitialState,
                             SphereParams, SpinWeights, omega_s)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import (action_parts, mean_state,
-                                  protocol_segments, separation_window)
+from sgphase.trajectories import (mean_state, protocol_segments,
+                                  separation_window)
 
-from reference import lambda_of_t, spread_Q
+from reference import action_parts, lambda_of_t, spread_Q
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,9 @@ from sgphase.params import (CONSTANTS, Branch, InitialState,
                             baseline_config, config_from_mapping,
                             config_to_mapping, get_constants, load_config,
                             omega_s, separation_time, validate)
-from sgphase.trajectories import action_parts, mean_state, protocol_segments
+from sgphase.trajectories import mean_state, protocol_segments
+
+from reference import action_parts
 
 
 def dyadic(k: int, scale: float = 2.0**-12) -> float:

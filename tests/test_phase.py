@@ -1,6 +1,8 @@
 import csv
 import math
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from sgphase.params import (Branch, ConstantsSet, InitialState, Protocol,
                             SphereParams, SpinWeights, baseline_config,
                             omega_s, separation_time, short_protocol_config,
                             validate)
-from sgphase.phase import (PhasePipeline, delta_phi_ode, fit_log_slope,
-                           i2_difference_estimate, naive_estimate,
-                           naive_estimate_two_term, phase_curve, radius_sweep)
+from sgphase.phase import (CURVE_TERMS, PhasePipeline, delta_phi_ode,
+                           fit_log_slope, i2_difference_estimate,
+                           naive_estimate, naive_estimate_two_term,
+                           phase_curve, radius_sweep)
 from sgphase.potential import NUCLEON_SCALE
 from sgphase.trajectories import (plateau_distance, protocol_segments,
                                   separation_window)
 
+import reference
 from reference import f_quantum, spread_Q
 
 
@@ -69,6 +73,12 @@ boosted_strategy = st.builds(
 # the short protocol at 0.9 B0': plateau distance ~0.95 (2R), no separation
 SUB_TANGENT = replace(short_protocol_config(), protocol=replace(
     short_protocol_config().protocol, B0_grad=9e5))
+
+# -0.0, nan, the infinities, the smallest subnormal, the largest
+# subnormal, the smallest normal and the largest double
+SPECIAL_DOUBLES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                   -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 
 
 def _kernel_args(t, nu, config):
@@ -305,6 +315,21 @@ class TestDeltaPhi:
         assert header == ("t_s,delta_phi_rad,i1_diff,i2_diff,const_self_diff,"
                           "newton_diff,classical_diff")
 
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    @example(SPECIAL_DOUBLES)
+    def test_number_rows_are_written_as_format_writes_them(self, row):
+        # write_csv formats a row of numbers with one "%.17e,..." pattern;
+        # the cells must be the digits format(x, ".17e") gives, signed
+        # zeros, nan, infinities and subnormals included
+        header = ",".join(f"c{i}" for i in range(len(row)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "numbers.csv"
+            sgphase.phase.write_csv(path, header, [
+                tuple(row), tuple(map(np.float64, row))])
+            written = path.read_text()
+        expected = ",".join(format(x, ".17e") for x in row)
+        assert written == f"{header}\n{expected}\n{expected}\n"
+
     def test_write_csv_round_trips_text_and_numbers(self, tmp_path):
         path = tmp_path / "cells.csv"
         texts = ["plain", "a, b", 'say "x"', "two\nlines", ""]
@@ -422,6 +447,91 @@ class TestTrajectoryBuilds:
         assert len(builds) == 1
         phase_curve(pipe)
         assert len(builds) == 1
+
+
+def _hex_fields(record, prefix=""):
+    """Every float field of a PhaseBreakdown, branches included, as
+    float.hex, so that a signed zero counts as a difference."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            out.update(_hex_fields(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = float.hex(value)
+    return out
+
+
+def _probe_times(pipe):
+    """0, T5, every segment, regime and window bound with its neighbour
+    doubles on either side, and 37 even times."""
+    T5 = pipe.config.protocol.T5
+    bounds = {0.0, T5, *(s.t_lo for s in pipe.trajectory.segments),
+              *(iv.t_lo for ab in pipe.branches.values()
+                for iv in ab.intervals),
+              *(pipe.window or ())}
+    near = {math.nextafter(b, d) for b in bounds for d in (0.0, T5)}
+    return sorted(bounds | near | set(np.linspace(0.0, T5, 37).tolist()))
+
+
+# configs at the edges of the piece structure: a zero-length hold segment,
+# a uniform field (Lambda enters classical and classical_diff), no
+# gravity, no separation window, and a boosted packet with both
+EDGE_IDS = ("hold-0", "B0", "G-0", "no-window", "boosted-hold-0-B0")
+EDGE_CONFIGS = (
+    replace(baseline_config(), protocol=replace(baseline_config().protocol,
+                                                hold=0.0)),
+    replace(baseline_config(), protocol=replace(baseline_config().protocol,
+                                                B0=0.1)),
+    without_gravity(baseline_config()),
+    SUB_TANGENT,
+    replace(baseline_config(sqrt_Q0=1e-13, nuclear_correction=True),
+            protocol=replace(baseline_config().protocol, hold=0.0, B0=0.1)),
+)
+
+
+class TestPrefixTable:
+    """The pipeline reads each term from its prefix table; the walks from
+    t = 0 that it replaced are kept in tests/reference.py, and every field
+    must be bitwise theirs."""
+
+    def check_against_walks(self, config):
+        pipe = PhasePipeline(config)
+        for t in _probe_times(pipe):
+            assert _hex_fields(pipe.breakdown(t)) == _hex_fields(
+                reference.breakdown(pipe, t)), f"t = {t!r}"
+
+    @given(config_strategy)
+    @example(baseline_config())
+    @example(EDGE_CONFIGS[0])
+    @example(EDGE_CONFIGS[1])
+    @example(EDGE_CONFIGS[2])
+    @example(EDGE_CONFIGS[3])
+    def test_breakdown_is_bitwise_the_walk(self, config):
+        self.check_against_walks(config)
+
+    @given(boosted_strategy)
+    @example(EDGE_CONFIGS[4])
+    def test_boosted_breakdown_is_bitwise_the_walk(self, config):
+        self.check_against_walks(config)
+
+    @pytest.mark.parametrize("config", (baseline_config(), *EDGE_CONFIGS),
+                             ids=("baseline", *EDGE_IDS))
+    def test_curve_samples_are_the_breakdown(self, config):
+        pipe = PhasePipeline(config)
+        curve = phase_curve(pipe)
+        for i, t in enumerate(curve.t.tolist()):
+            bd = pipe.breakdown(t)
+            for name in CURVE_TERMS:
+                assert float.hex(float(getattr(curve, name)[i])) \
+                    == float.hex(getattr(bd, name)), (name, t)
+
+
+    def test_times_outside_the_protocol_are_refused(self, baseline):
+        pipe = PhasePipeline(baseline)
+        for t in (-5e-324, math.nextafter(baseline.protocol.T5, math.inf)):
+            with pytest.raises(ValueError, match="outside protocol range"):
+                pipe.breakdown(t)
 
 
 class TestOdeCrossCheck:

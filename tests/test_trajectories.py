@@ -10,11 +10,11 @@ from scipy.integrate import quad
 from sgphase.params import (Branch, ConstantsSet, Protocol, SphereParams,
                             baseline_config, separation_time)
 from sgphase.phase import PhasePipeline
-from sgphase.trajectories import (action_parts, branch_distance, mean_state,
+from sgphase.trajectories import (branch_distance, mean_state,
                                   plateau_distance, protocol_segments,
                                   separation_window)
 
-from reference import lambda_of_t
+from reference import action_parts, lambda_of_t
 
 times_strategy = st.floats(min_value=0.0, max_value=2.0)
 
@@ -31,7 +31,7 @@ def dyadic_protocol(k1: int, kh: int, b0: float = 0.0) -> Protocol:
 
 def classical_phases(config, t=None):
     """Classical action S/hbar of each branch mean up to t (rad), as the
-    shipped breakdown assembles it from `action_parts`."""
+    shipped breakdown assembles it from `action_piece` per segment."""
     bd = PhasePipeline(config).breakdown(t)
     return {Branch.PLUS: bd.plus.classical, Branch.MINUS: bd.minus.classical}
 
